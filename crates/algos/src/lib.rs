@@ -15,6 +15,12 @@
 //! * [`line_graph`] — explicit line graphs with the honest `2r + 1`
 //!   simulation cost model.
 //!
+//! The class sweeps behind [`sweep_reduce`], [`kw_reduce`], [`list_sweep`]
+//! and [`mis_from_coloring`] are exposed as [`SweepPhase`], [`KwPhase`],
+//! [`ListSweep`] and [`MisSweep`]. Each declares the round a node acts in
+//! ([`SoaAlgorithm::wake_round`](treelocal_sim::SoaAlgorithm::wake_round)),
+//! so the engine parks waiting nodes instead of stepping them.
+//!
 //! # Solvers (implementations of [`TrulyLocal`])
 //!
 //! * [`MisAlgo`], [`DeltaColoringAlgo`], [`DegColoringAlgo`] — class `P1`,
@@ -47,12 +53,12 @@ pub use linial::{
 };
 #[cfg(feature = "parallel")]
 pub use linial::{run_linial_messages_with_threads, run_linial_with_threads};
-pub use list_sweep::{list_sweep, ListSweepOutcome};
+pub use list_sweep::{list_sweep, ListSweep, ListSweepOutcome};
 #[cfg(feature = "parallel")]
 pub use mis_phase::mis_from_coloring_with_threads;
-pub use mis_phase::{is_valid_mis_on, mis_from_coloring, MisDecision, MisOutcome};
+pub use mis_phase::{is_valid_mis_on, mis_from_coloring, MisDecision, MisOutcome, MisSweep};
 pub use node_solvers::{DegColoringAlgo, DeltaColoringAlgo, ListColoringAlgo, MisAlgo};
 #[cfg(feature = "parallel")]
 pub use reduce::kw_reduce_with_threads;
-pub use reduce::{kw_reduce, sweep_reduce, ReduceOutcome};
+pub use reduce::{kw_reduce, sweep_reduce, KwPhase, ReduceOutcome, SweepPhase};
 pub use traits::{ChargedModel, GlobalCtx, TrulyLocal};

@@ -6,21 +6,74 @@
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
 use treelocal_problems::Color;
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{run_soa, Ctx, ParSafe, SoaAlgorithm, SoaSnapshot, StateCodec, Verdict};
 
-#[derive(Clone, Debug)]
-enum LsState {
-    Waiting { my_round: u64 },
+/// A node of [`ListSweep`].
+#[derive(Debug, PartialEq, Eq)]
+pub enum LsState {
+    /// Not yet processed; picks in round `my_round`.
+    Waiting {
+        /// The round of this node's class.
+        my_round: u64,
+    },
+    /// Picked this list color and halted.
     Chosen(Color),
 }
 
-struct ListSweep<'c> {
+/// Lane tags for [`LsState`]'s codec (lane 0 of the u32 row).
+const TAG_WAITING: u32 = 0;
+const TAG_CHOSEN: u32 = 1;
+
+/// `[tag, color]` u32 lanes plus a `my_round` u64 lane. The color lane is
+/// only meaningful under [`TAG_CHOSEN`], `my_round` only under
+/// [`TAG_WAITING`]; both encode as zero otherwise so equal states have
+/// equal lane bytes.
+impl StateCodec for LsState {
+    const U32_LANES: usize = 2;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, lanes32: &mut [u32], lanes64: &mut [u64]) {
+        match *self {
+            LsState::Waiting { my_round } => {
+                lanes32[0] = TAG_WAITING;
+                lanes32[1] = 0;
+                lanes64[0] = my_round;
+            }
+            LsState::Chosen(c) => {
+                lanes32[0] = TAG_CHOSEN;
+                lanes32[1] = c;
+                lanes64[0] = 0;
+            }
+        }
+    }
+
+    fn decode(lanes32: &[u32], lanes64: &[u64]) -> Self {
+        match lanes32[0] {
+            TAG_WAITING => LsState::Waiting { my_round: lanes64[0] },
+            _ => LsState::Chosen(lanes32[1]),
+        }
+    }
+}
+
+/// The state machine behind [`list_sweep`]: class `c` of a proper 0-based
+/// `m`-coloring picks in round `m - c`, and every node parks until its
+/// round.
+#[derive(Clone, Copy, Debug)]
+pub struct ListSweep<'c> {
     initial: &'c [Option<u64>],
     m: u64,
     lists: &'c [Vec<Color>],
 }
 
-impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
+impl<'c> ListSweep<'c> {
+    /// The sweep over the proper 0-based `m`-coloring `initial` with
+    /// per-node `lists` (both indexed by the parent node space).
+    pub fn new(initial: &'c [Option<u64>], m: u64, lists: &'c [Vec<Color>]) -> Self {
+        ListSweep { initial, m: m.max(1), lists }
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for ListSweep<'_> {
     type State = LsState;
 
     fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<LsState> {
@@ -29,24 +82,31 @@ impl<T: Topology> SyncAlgorithm<T> for ListSweep<'_> {
         Verdict::Active(LsState::Waiting { my_round: self.m - c })
     }
 
+    fn wake_round(&self, own: &LsState) -> u64 {
+        match *own {
+            LsState::Waiting { my_round } => my_round,
+            LsState::Chosen(_) => 1,
+        }
+    }
+
     fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &LsState,
-        prev: &Snapshot<'_, LsState>,
+        own: LsState,
+        prev: &SoaSnapshot<'_, LsState>,
     ) -> Verdict<LsState> {
         let LsState::Waiting { my_round } = own else { unreachable!("chosen nodes have halted") };
-        if round < *my_round {
-            return Verdict::Active(own.clone());
+        if round < my_round {
+            return Verdict::Active(own);
         }
         let mut used: Vec<Color> = ctx
             .topo
             .neighbor_nodes(v)
             .iter()
             .filter_map(|&w| match prev.get(w) {
-                LsState::Chosen(c) => Some(*c),
+                LsState::Chosen(c) => Some(c),
                 LsState::Waiting { .. } => None,
             })
             .collect();
@@ -77,15 +137,12 @@ pub fn list_sweep<T: Topology + ParSafe>(
     m: u64,
     lists: &[Vec<Color>],
 ) -> ListSweepOutcome {
-    let algo = ListSweep { initial, m: m.max(1), lists };
-    let out = run(ctx, &algo, m + 2);
+    let out = run_soa(ctx, &ListSweep::new(initial, m, lists), m + 2);
     ListSweepOutcome {
-        colors: out
-            .states
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|st| match st {
-                    LsState::Chosen(c) => *c,
+        colors: (0..out.index_space())
+            .map(|i| {
+                out.try_state(NodeId::new(i)).map(|st| match st {
+                    LsState::Chosen(c) => c,
                     LsState::Waiting { .. } => unreachable!("run drains all nodes"),
                 })
             })
@@ -123,6 +180,23 @@ mod tests {
                 }
             }
             assert!(out.rounds <= lin.final_bound);
+        }
+    }
+
+    proptest::proptest! {
+        /// The codec law for list-sweep states, across both tags and the
+        /// full lane value ranges.
+        #[test]
+        fn ls_state_round_trips_through_its_lanes(
+            chosen in proptest::prelude::any::<bool>(),
+            color in proptest::prelude::any::<u32>(),
+            my_round in proptest::prelude::any::<u64>(),
+        ) {
+            let s = if chosen { LsState::Chosen(color) } else { LsState::Waiting { my_round } };
+            let mut lanes32 = [0u32; LsState::U32_LANES];
+            let mut lanes64 = [0u64; LsState::U64_LANES];
+            s.encode(&mut lanes32, &mut lanes64);
+            proptest::prop_assert_eq!(LsState::decode(&lanes32, &lanes64), s);
         }
     }
 }

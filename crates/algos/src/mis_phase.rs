@@ -27,9 +27,15 @@ pub enum MisDecision {
     },
 }
 
+/// A node of [`MisSweep`].
 #[derive(Clone, Debug, PartialEq, Eq)]
-enum SweepState {
-    Waiting { my_round: u64 },
+pub enum SweepState {
+    /// Not yet decided; decides in round `my_round`.
+    Waiting {
+        /// The round of this node's class.
+        my_round: u64,
+    },
+    /// Decided and halted.
     Decided(MisDecision),
 }
 
@@ -77,9 +83,21 @@ impl StateCodec for SweepState {
     }
 }
 
-struct MisSweep<'c> {
+/// The state machine behind [`mis_from_coloring`]: class `c` of a proper
+/// 1-based `m`-coloring decides in round `m - c + 1`, and every node parks
+/// until its round.
+#[derive(Clone, Copy, Debug)]
+pub struct MisSweep<'c> {
     colors: &'c [Option<u32>],
     m: u64,
+}
+
+impl<'c> MisSweep<'c> {
+    /// The sweep over the proper 1-based `m`-coloring `colors` (indexed by
+    /// the parent node space).
+    pub fn new(colors: &'c [Option<u32>], m: u64) -> Self {
+        MisSweep { colors, m }
+    }
 }
 
 /// The sweep logic shared by both state layouts.
@@ -143,6 +161,13 @@ impl<T: Topology> SoaAlgorithm<T> for MisSweep<'_> {
         self.init_verdict(v)
     }
 
+    fn wake_round(&self, own: &SweepState) -> u64 {
+        match *own {
+            SweepState::Waiting { my_round } => my_round,
+            SweepState::Decided(_) => 1,
+        }
+    }
+
     fn step(
         &self,
         ctx: &Ctx<T>,
@@ -197,7 +222,7 @@ fn mis_inner<T: Topology + ParSafe>(
     m: u64,
     threads: Option<usize>,
 ) -> MisOutcome {
-    let algo = MisSweep { colors, m };
+    let algo = MisSweep::new(colors, m);
     #[cfg(feature = "parallel")]
     let out = match threads {
         Some(t) => run_soa_with_threads(ctx, &algo, m + 2, t),

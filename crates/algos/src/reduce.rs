@@ -13,10 +13,10 @@
 
 use treelocal_graph::OrInvariant;
 use treelocal_graph::{NodeId, Topology};
-use treelocal_sim::{run, Ctx, ParSafe, Snapshot, SyncAlgorithm, Verdict};
+use treelocal_sim::{run_soa, Ctx, ParSafe, SoaAlgorithm, SoaSnapshot, StateCodec, Verdict};
 
 #[cfg(feature = "parallel")]
-use treelocal_sim::run_with_threads;
+use treelocal_sim::run_soa_with_threads;
 
 /// Outcome of a reduction phase: per-node colors (1-based) plus the rounds
 /// used.
@@ -30,12 +30,28 @@ pub struct ReduceOutcome {
     pub rounds: u64,
 }
 
+/// Smallest value not in `used` (any order, repeats allowed).
+fn smallest_free(mut used: Vec<u64>) -> u64 {
+    used.sort_unstable();
+    used.dedup();
+    let mut c = 0u64;
+    for u in used {
+        if u == c {
+            c += 1;
+        } else if u > c {
+            break;
+        }
+    }
+    c
+}
+
 // ---------------------------------------------------------------------
 // Sweep reduction
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
-struct SweepState {
+/// A node of [`SweepPhase`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct SweepState {
     /// Current (possibly original) color, 0-based internally.
     color: u64,
     /// The round at which this node re-picks (derived from its original
@@ -43,12 +59,39 @@ struct SweepState {
     my_round: u64,
 }
 
-struct SweepAlgo<'c> {
+/// Two u64 lanes: `color`, then `my_round`.
+impl StateCodec for SweepState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 2;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.color;
+        lanes64[1] = self.my_round;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        SweepState { color: lanes64[0], my_round: lanes64[1] }
+    }
+}
+
+/// The state machine behind [`sweep_reduce`]: class `c` of a proper
+/// 0-based `m`-coloring re-picks in round `m - c`, and every node parks
+/// until its round.
+#[derive(Clone, Copy, Debug)]
+pub struct SweepPhase<'c> {
     initial: &'c [Option<u64>],
     m: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
+impl<'c> SweepPhase<'c> {
+    /// The sweep over the proper 0-based `m`-coloring `initial` (indexed
+    /// by the parent node space).
+    pub fn new(initial: &'c [Option<u64>], m: u64) -> Self {
+        SweepPhase { initial, m }
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for SweepPhase<'_> {
     type State = SweepState;
 
     fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<SweepState> {
@@ -58,39 +101,33 @@ impl<T: Topology> SyncAlgorithm<T> for SweepAlgo<'_> {
         Verdict::Active(SweepState { color: self.m + c, my_round: self.m - c })
     }
 
+    fn wake_round(&self, own: &SweepState) -> u64 {
+        own.my_round
+    }
+
     fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &SweepState,
-        prev: &Snapshot<'_, SweepState>,
+        own: SweepState,
+        prev: &SoaSnapshot<'_, SweepState>,
     ) -> Verdict<SweepState> {
         if round < own.my_round {
-            return Verdict::Active(own.clone());
+            return Verdict::Active(own);
         }
         debug_assert_eq!(round, own.my_round);
         // Pick the smallest color (0-based, below m) unused by neighbors'
         // current colors. Unprocessed neighbors hold colors ≥ m (shifted),
         // so they never block small colors.
-        let mut used: Vec<u64> = ctx
+        let used: Vec<u64> = ctx
             .topo
             .neighbor_nodes(v)
             .iter()
             .map(|&w| prev.get(w).color)
             .filter(|&c| c < self.m)
             .collect();
-        used.sort_unstable();
-        used.dedup();
-        let mut c = 0u64;
-        for u in used {
-            if u == c {
-                c += 1;
-            } else if u > c {
-                break;
-            }
-        }
-        Verdict::Halted(SweepState { color: c, my_round: own.my_round })
+        Verdict::Halted(SweepState { color: smallest_free(used), my_round: own.my_round })
     }
 }
 
@@ -106,40 +143,63 @@ pub fn sweep_reduce<T: Topology + ParSafe>(
     m: u64,
 ) -> ReduceOutcome {
     assert!(m >= 1);
-    let algo = SweepAlgo { initial, m };
-    let out = run(ctx, &algo, m + 2);
-    let max_used = out.states.iter().flatten().map(|s| s.color).max().unwrap_or(0);
-    ReduceOutcome {
-        colors: out
-            .states
-            .iter()
-            .map(|s| s.as_ref().map(|st| u32::try_from(st.color + 1).or_invariant("small color")))
-            .collect(),
-        final_colors: (max_used + 1) as u32,
-        rounds: out.rounds,
-    }
+    let out = run_soa(ctx, &SweepPhase::new(initial, m), m + 2);
+    let colors: Vec<Option<u32>> = (0..out.index_space())
+        .map(|i| {
+            let st = out.try_state(NodeId::new(i))?;
+            Some(u32::try_from(st.color + 1).or_invariant("small color"))
+        })
+        .collect();
+    let final_colors = colors.iter().flatten().copied().max().unwrap_or(1);
+    ReduceOutcome { colors, final_colors, rounds: out.rounds }
 }
 
 // ---------------------------------------------------------------------
 // Kuhn–Wattenhofer halving
 // ---------------------------------------------------------------------
 
-#[derive(Clone, Debug)]
-struct KwState {
-    /// Current color, 0-based, always `< m_current` of the ongoing phase
-    /// interpretation.
+/// A node of [`KwPhase`].
+#[derive(Debug, PartialEq, Eq)]
+pub struct KwState {
+    /// Current color: untagged 0-based original-namespace color while
+    /// waiting, `FINAL_TAG | compact color` once settled.
     color: u64,
 }
 
-/// One KW phase: colors `< m` become colors `< ceil(m / (2(Δ+1))) · (Δ+1)`.
-struct KwPhase<'c> {
+/// One u64 lane: the color, `FINAL_TAG` included.
+impl StateCodec for KwState {
+    const U32_LANES: usize = 0;
+    const U64_LANES: usize = 1;
+
+    fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+        lanes64[0] = self.color;
+    }
+
+    fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+        KwState { color: lanes64[0] }
+    }
+}
+
+/// One Kuhn–Wattenhofer phase (a step of [`kw_reduce`]): colors `< m`
+/// become colors `< ceil(m / (2(Δ+1))) · (Δ+1)`. A moving node parks
+/// until the round of its relative color.
+#[derive(Clone, Copy, Debug)]
+pub struct KwPhase<'c> {
     initial: &'c [Option<u64>],
     m: u64,
     /// Slots per group: Δ+1.
     slots: u64,
 }
 
-impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
+impl<'c> KwPhase<'c> {
+    /// The phase over the proper 0-based `m`-coloring `initial` (indexed
+    /// by the parent node space) with `slots` = Δ+1 slots per group.
+    pub fn new(initial: &'c [Option<u64>], m: u64, slots: u64) -> Self {
+        KwPhase { initial, m, slots }
+    }
+}
+
+impl<T: Topology> SoaAlgorithm<T> for KwPhase<'_> {
     type State = KwState;
 
     fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
@@ -156,23 +216,28 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
         }
     }
 
+    /// Relative colors are processed highest-first: rel = 2s-1 moves in
+    /// round 1, rel = s moves in round s.
+    fn wake_round(&self, own: &KwState) -> u64 {
+        let group_size = 2 * self.slots;
+        group_size - own.color % group_size
+    }
+
     fn step(
         &self,
         ctx: &Ctx<T>,
         v: NodeId,
         round: u64,
-        own: &KwState,
-        prev: &Snapshot<'_, KwState>,
+        own: KwState,
+        prev: &SoaSnapshot<'_, KwState>,
     ) -> Verdict<KwState> {
         let group_size = 2 * self.slots;
         let rel = own.color % group_size;
         let group = own.color / group_size;
         debug_assert!(rel >= self.slots, "active nodes still need to move");
-        // Relative colors are processed highest-first: rel = 2s-1 moves in
-        // round 1, rel = s moves in round s.
         let my_round = group_size - rel;
         if round < my_round {
-            return Verdict::Active(own.clone());
+            return Verdict::Active(own);
         }
         debug_assert_eq!(round, my_round);
         // Forbidden slots: same-group neighbors already settled in the
@@ -189,17 +254,7 @@ impl<T: Topology> SyncAlgorithm<T> for KwPhase<'_> {
             .filter(|&c| c / self.slots == group)
             .map(|c| c % self.slots)
             .collect();
-        let mut slot = 0u64;
-        let mut sorted = used_slots;
-        sorted.sort_unstable();
-        sorted.dedup();
-        for s in sorted {
-            if s == slot {
-                slot += 1;
-            } else if s > slot {
-                break;
-            }
-        }
+        let slot = smallest_free(used_slots);
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + slot) })
     }
@@ -245,18 +300,20 @@ fn kw_inner<T: Topology + ParSafe>(
     let mut m_cur = m.max(1);
     let mut rounds = 0u64;
     while m_cur > slots {
-        let phase = KwPhase { initial: &colors, m: m_cur, slots };
+        let phase = KwPhase::new(&colors, m_cur, slots);
         #[cfg(feature = "parallel")]
         let out = match threads {
-            Some(t) => run_with_threads(ctx, &phase, 2 * slots + 2, t),
-            None => run(ctx, &phase, 2 * slots + 2),
+            Some(t) => run_soa_with_threads(ctx, &phase, 2 * slots + 2, t),
+            None => run_soa(ctx, &phase, 2 * slots + 2),
         };
         #[cfg(not(feature = "parallel"))]
-        let out = run(ctx, &phase, 2 * slots + 2);
+        let out = run_soa(ctx, &phase, 2 * slots + 2);
         rounds += out.rounds;
         let groups = m_cur.div_ceil(2 * slots);
         m_cur = groups * slots;
-        colors = out.states.iter().map(|s| s.as_ref().map(|st| st.color & !FINAL_TAG)).collect();
+        colors = (0..out.index_space())
+            .map(|i| out.try_state(NodeId::new(i)).map(|st| st.color & !FINAL_TAG))
+            .collect();
         // Tag is stripped; ensure the invariant holds.
         debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
     }
@@ -352,5 +409,23 @@ mod tests {
         let out = sweep_reduce(&ctx, &initial, 2);
         assert!(check_proper_u32(&g, &out.colors));
         assert!(out.final_colors <= 2);
+    }
+
+    proptest::proptest! {
+        /// The codec laws for both reduce states over the full lane range.
+        #[test]
+        fn reduce_states_round_trip_through_their_lanes(
+            color in proptest::prelude::any::<u64>(),
+            my_round in proptest::prelude::any::<u64>(),
+        ) {
+            let s = SweepState { color, my_round };
+            let mut lanes64 = [0u64; SweepState::U64_LANES];
+            s.encode(&mut [], &mut lanes64);
+            proptest::prop_assert_eq!(SweepState::decode(&[], &lanes64), s);
+            let k = KwState { color };
+            let mut lanes64 = [0u64; KwState::U64_LANES];
+            k.encode(&mut [], &mut lanes64);
+            proptest::prop_assert_eq!(KwState::decode(&[], &lanes64), k);
+        }
     }
 }

@@ -1,10 +1,11 @@
 //! Criterion wall-clock benchmarks for the truly local primitives:
-//! Linial color reduction, Kuhn–Wattenhofer halving and Cole–Vishkin.
+//! Linial color reduction, Kuhn–Wattenhofer halving, the class-sweep
+//! reduction on line graphs and Cole–Vishkin.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use treelocal_algos::{kw_reduce, run_linial, three_color_rooted};
+use treelocal_algos::{kw_reduce, line_graph, run_linial, sweep_reduce, three_color_rooted};
 use treelocal_gen::{random_tree, relabel, IdStrategy};
-use treelocal_graph::root_forest;
+use treelocal_graph::{root_forest, SemiGraph};
 use treelocal_sim::Ctx;
 
 fn bench_linial(c: &mut Criterion) {
@@ -33,6 +34,23 @@ fn bench_kw_reduce(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sweep on the line graph of a random tree — the inner solve of the
+/// Theorem 3 edge coloring, where every node parks until its class.
+fn bench_sweep_reduce(c: &mut Criterion) {
+    let mut group = c.benchmark_group("sweep_reduce");
+    for &n in &[1_000usize, 10_000, 100_000] {
+        let g = random_tree(n, 4);
+        let l = line_graph(&SemiGraph::whole(&g)).graph;
+        let ctx = Ctx::of(&l);
+        let lin = run_linial(&ctx);
+        group.bench_with_input(BenchmarkId::from_parameter(n), &l, |b, l| {
+            let ctx = Ctx::of(l);
+            b.iter(|| sweep_reduce(&ctx, &lin.colors, lin.final_bound).final_colors)
+        });
+    }
+    group.finish();
+}
+
 fn bench_cole_vishkin(c: &mut Criterion) {
     let mut group = c.benchmark_group("cole_vishkin");
     for &n in &[1_000usize, 10_000, 100_000] {
@@ -46,5 +64,5 @@ fn bench_cole_vishkin(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_linial, bench_kw_reduce, bench_cole_vishkin);
+criterion_group!(benches, bench_linial, bench_kw_reduce, bench_sweep_reduce, bench_cole_vishkin);
 criterion_main!(benches);

@@ -144,7 +144,7 @@ impl Certificate {
         let rule = parse_rule(p.keyword_rest("rule")?, p.pos)?;
         let nodes: usize = p.parse_field("nodes")?;
         let id_space: u64 = p.parse_field("idspace")?;
-        let edge_count: usize = p.parse_field("edges")?;
+        let edge_count = p.parse_count("edges")?;
         let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
             let rest = p.keyword_rest("e")?;
@@ -152,7 +152,7 @@ impl Certificate {
             edges.push((u, v));
         }
         let lists = if p.peek_keyword("lists") {
-            let count: usize = p.parse_field("lists")?;
+            let count = p.parse_count("lists")?;
             let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count);
             for want in 0..count {
                 let rest = p.keyword_rest("l")?;
@@ -196,7 +196,7 @@ impl Certificate {
             }
         };
         let rounds: u64 = p.parse_field("rounds")?;
-        let segment_count: usize = p.parse_field("segments")?;
+        let segment_count = p.parse_count("segments")?;
         let mut segments = Vec::with_capacity(segment_count);
         for _ in 0..segment_count {
             let rest = p.keyword_rest("segment")?;
@@ -280,6 +280,21 @@ impl<'a> Parser<'a> {
 
     fn peek_keyword(&self, keyword: &str) -> bool {
         self.lines.get(self.pos).is_some_and(|l| l.split_ascii_whitespace().next() == Some(keyword))
+    }
+
+    /// Consumes `keyword <count>` announcing a block of `count` lines. A
+    /// count larger than the lines left cannot be honest, so it is
+    /// rejected before it can size an allocation.
+    fn parse_count(&mut self, keyword: &str) -> Result<usize, CheckError> {
+        let count: usize = self.parse_field(keyword)?;
+        let left = self.lines.len() - self.pos;
+        if count > left {
+            return Err(CheckError::Format {
+                line: self.pos,
+                what: format!("at most {left} {keyword} (the lines left)"),
+            });
+        }
+        Ok(count)
     }
 
     /// Consumes `keyword <number>`.
@@ -476,11 +491,24 @@ fn parse_edge_palette(p: &str, line: usize) -> Result<EdgePalette, CheckError> {
 /// violation found, ordered: instance, solution legality, envelope,
 /// transcript consistency.
 pub fn check_certificate(cert: &Certificate) -> Result<(), CheckError> {
+    let backed = backed_nodes(cert);
+    if cert.nodes > backed {
+        return Err(CheckError::UnbackedNodeCount { claimed: cert.nodes, backed });
+    }
     let g = Graph::from_edges(cert.nodes, &cert.edges)
         .map_err(|e| CheckError::BadInstance { what: format!("{e:?}") })?;
     check_solution(&g, &cert.rule, &cert.solution, cert.lists.as_deref())?;
     check_envelope(cert.envelope, cert.id_space, g.max_degree(), cert.rounds)?;
     check_transcript(cert)
+}
+
+/// The most nodes the certificate's body can name: two per edge, one per
+/// witness, list and halt record. A larger `nodes` count describes nodes
+/// the certificate says nothing about; rejecting it bounds the instance
+/// the checker builds by the size of the certificate.
+fn backed_nodes(cert: &Certificate) -> usize {
+    let halts: usize = cert.segments.iter().map(|s| s.halts.len()).sum();
+    2 * cert.edges.len() + cert.solution.len() + cert.lists.as_ref().map_or(0, Vec::len) + halts
 }
 
 /// Parses and validates in one step.

@@ -30,6 +30,14 @@ pub enum CheckError {
         /// The construction error, rendered.
         what: String,
     },
+    /// The header claims more nodes than the body names (as edge
+    /// endpoints, witnesses, lists or halt records).
+    UnbackedNodeCount {
+        /// Nodes the header claims.
+        claimed: usize,
+        /// The most nodes the body can name.
+        backed: usize,
+    },
     /// The solution kind does not fit the rule (e.g. node colors offered
     /// for a matching rule).
     WitnessKind {
@@ -239,6 +247,9 @@ impl fmt::Display for CheckError {
                 write!(f, "unsupported certificate version: {found:?}")
             }
             CheckError::BadInstance { what } => write!(f, "bad instance: {what}"),
+            CheckError::UnbackedNodeCount { claimed, backed } => {
+                write!(f, "header claims {claimed} nodes, the body names at most {backed}")
+            }
             CheckError::WitnessKind { rule, found } => {
                 write!(f, "rule {rule} cannot be witnessed by a {found} solution")
             }

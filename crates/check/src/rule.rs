@@ -107,6 +107,20 @@ impl Solution {
             Solution::EdgeColors(_) => "edge-colors",
         }
     }
+
+    /// Number of witnesses (one per node or one per edge).
+    pub fn len(&self) -> usize {
+        match self {
+            Solution::NodeColors(v) | Solution::EdgeColors(v) => v.len(),
+            Solution::NodeSet(v) | Solution::EdgeSet(v) => v.len(),
+            Solution::MisWitnesses(v) => v.len(),
+        }
+    }
+
+    /// Whether the solution carries no witness at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// Judges `solution` against `rule` on `g`. `lists` is consulted only by

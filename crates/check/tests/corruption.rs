@@ -448,3 +448,41 @@ fn trailing_witness_drops_are_a_count_mismatch() {
     let corrupted = drop_line(&cert.to_text(), "s 4 ");
     assert_eq!(check_text(&corrupted), Err(CheckError::WitnessCount { expected: 5, found: 4 }));
 }
+
+// --- forged header counts -----------------------------------------------
+//
+// A header count that the body does not back must be rejected before it
+// can size an allocation: these three edits used to abort the checker
+// with multi-gigabyte allocations or get it OOM-killed.
+
+#[test]
+fn forged_max_u32_node_count_is_rejected_without_allocating() {
+    let text = set_line(&coloring_cert().to_text(), "nodes ", "nodes 4294967295");
+    assert_eq!(
+        check_text(&text),
+        Err(CheckError::UnbackedNodeCount { claimed: 4_294_967_295, backed: 18 })
+    );
+}
+
+#[test]
+fn forged_huge_node_count_is_rejected_without_allocating() {
+    let text = set_line(&mis_cert().to_text(), "nodes ", "nodes 4000000000");
+    assert!(
+        matches!(
+            check_text(&text),
+            Err(CheckError::UnbackedNodeCount { claimed: 4_000_000_000, .. })
+        ),
+        "{:?}",
+        check_text(&text)
+    );
+}
+
+#[test]
+fn forged_huge_edge_count_is_rejected_without_allocating() {
+    let text = set_line(&edge_coloring_cert().to_text(), "edges ", "edges 4000000000");
+    assert!(
+        matches!(check_text(&text), Err(CheckError::Format { line: 6, .. })),
+        "{:?}",
+        check_text(&text)
+    );
+}

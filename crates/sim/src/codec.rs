@@ -183,6 +183,12 @@ impl<S: StateCodec> SoaOutcome<S> {
         self.seeded.len()
     }
 
+    /// The raw node-major `(u32, u64)` lane columns, for byte-level
+    /// comparisons of two runs. Rows of non-participants are zero.
+    pub fn lanes(&self) -> (&[u32], &[u64]) {
+        (&self.columns.lanes32, &self.columns.lanes64)
+    }
+
     /// Decodes every slot into the boxed-path result shape. Costs one
     /// allocation per participating node — tests and adapters use it to
     /// compare against [`RunOutcome`](crate::RunOutcome); hot paths should

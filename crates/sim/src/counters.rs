@@ -7,9 +7,12 @@
 //! relaxed atomics:
 //!
 //! * **rounds executed** — one per communication round of any run,
-//! * **node steps** — the number of frontier (non-halted) nodes that round
-//!   visited, i.e. the actual unit of simulation work after frontier
-//!   shrinking, and
+//! * **node steps** — the number of non-halted nodes that round, i.e. the
+//!   node-rounds the LOCAL model charges. A node parked until its
+//!   [`wake_round`](crate::SoaAlgorithm::wake_round) is counted but not
+//!   visited, so this is the charged work, not the engine's visits: a
+//!   class sweep charges `O(n·m)` node steps while the engine steps each
+//!   node once, and the total is the same whether nodes park or not, and
 //! * **send steps** — the number of frontier nodes whose outgoing messages
 //!   the message engine ([`run_messages`](crate::run_messages)) materialized
 //!   and routed. The snapshot engine has no send phase, so for it this
@@ -32,7 +35,8 @@ static ROUNDS: AtomicU64 = AtomicU64::new(0);
 static NODE_STEPS: AtomicU64 = AtomicU64::new(0);
 static SEND_STEPS: AtomicU64 = AtomicU64::new(0);
 
-/// Records one executed round that stepped `frontier` nodes (called by
+/// Records one executed round with `frontier` non-halted nodes, parked
+/// ones included (called by
 /// [`ExecCore::begin_round`](crate::ExecCore::begin_round)).
 pub(crate) fn record_round(frontier: u64) {
     ROUNDS.fetch_add(1, Ordering::Relaxed);
@@ -52,8 +56,9 @@ pub(crate) fn record_send_round(frontier: u64) {
     SEND_STEPS.fetch_add(frontier, Ordering::Relaxed);
 }
 
-/// Total frontier-node steps executed by this process so far (the sum of
-/// frontier sizes over all executed rounds).
+/// Total node steps charged by this process so far (the sum of
+/// non-halted node counts, parked nodes included, over all executed
+/// rounds).
 pub fn node_steps() -> u64 {
     NODE_STEPS.load(Ordering::Relaxed)
 }

@@ -235,12 +235,35 @@ where
 /// [`SoaSnapshot::get`](crate::SoaSnapshot::get) decode by value too.
 /// Problems implement both traits over the same state type and the
 /// equivalence suites assert the two paths agree byte for byte.
+///
+/// Algorithms in which a node idles until a known round — the colour-class
+/// sweeps, where each node acts in exactly one round — declare that round
+/// through [`wake_round`](SoaAlgorithm::wake_round), and [`run_soa`] parks
+/// the node until then instead of stepping it every round. Message runs
+/// ([`crate::run_messages_soa`]) take a different trait and never park: a
+/// parked node would stop sending.
 pub trait SoaAlgorithm<T: Topology> {
     /// Per-node state with a fixed-width lane encoding.
     type State: crate::StateCodec;
 
     /// The state of `v` before any communication happened.
     fn init(&self, ctx: &Ctx<T>, v: NodeId) -> Verdict<Self::State>;
+
+    /// The first round in which a node seeded `Active(own)` must be
+    /// stepped. The engine reads it once, when it seeds the node.
+    ///
+    /// The contract: in every round before the returned one, [`step`]
+    /// would return `Active(own)` unchanged, whatever the neighbors hold.
+    /// The engine then skips those steps; the node still counts as live
+    /// in [`counters`](crate::counters), in transcripts and for its
+    /// neighbors, so outcomes, rounds and counters are exactly those of
+    /// stepping it every round. The default, 1, parks nothing.
+    ///
+    /// [`step`]: SoaAlgorithm::step
+    fn wake_round(&self, own: &Self::State) -> u64 {
+        let _ = own;
+        1
+    }
 
     /// One synchronous round at node `v`.
     fn step(
@@ -258,7 +281,11 @@ pub trait SoaAlgorithm<T: Topology> {
 ///
 /// Outcomes, round counts and work counters are identical to running the
 /// same logic through [`run`]; only the state layout (and therefore cache
-/// behavior and peak memory) differs. With the `parallel` feature large
+/// behavior and peak memory) differs. Nodes whose
+/// [`SoaAlgorithm::wake_round`] lies ahead are parked rather than stepped
+/// until then, which turns a colour-class sweep over `m` classes from
+/// `O(n·m)` node visits into `O(n + m)` without changing any of those
+/// observables (`tests/wake_equiv.rs`). With the `parallel` feature large
 /// frontiers step on the vendored rayon pool, byte-identically for every
 /// pool size — pinned by `tests/soa_equiv.rs`.
 ///
@@ -277,10 +304,7 @@ where
     }
     #[cfg(not(feature = "parallel"))]
     {
-        let mut core = crate::ExecCoreSoa::new(ctx.topo.index_space());
-        for v in ctx.topo.nodes() {
-            core.seed(v, algo.init(ctx, v));
-        }
+        let mut core = seed_soa(ctx, algo);
         while !core.is_done() {
             let round = core.begin_round(max_rounds);
             core.step_snapshot(|v, own, snap| algo.step(ctx, v, round, own, snap));
@@ -307,15 +331,30 @@ where
     A: SoaAlgorithm<T> + ParSafe,
     A::State: ParSafe,
 {
-    let mut core = crate::ExecCoreSoa::new(ctx.topo.index_space());
-    for v in ctx.topo.nodes() {
-        core.seed(v, algo.init(ctx, v));
-    }
+    let mut core = seed_soa(ctx, algo);
     while !core.is_done() {
         let round = core.begin_round(max_rounds);
         core.step_snapshot_threads(threads, |v, own, snap| algo.step(ctx, v, round, own, snap));
     }
     core.finish()
+}
+
+/// A codec core seeded with every node's round-0 verdict, `Active` nodes
+/// parked until their [`SoaAlgorithm::wake_round`].
+fn seed_soa<T: Topology, A: SoaAlgorithm<T>>(
+    ctx: &Ctx<'_, T>,
+    algo: &A,
+) -> crate::ExecCoreSoa<A::State> {
+    let mut core = crate::ExecCoreSoa::new(ctx.topo.index_space());
+    for v in ctx.topo.nodes() {
+        let verdict = algo.init(ctx, v);
+        let wake = match &verdict {
+            Verdict::Active(s) => algo.wake_round(s),
+            Verdict::Halted(_) => 1,
+        };
+        core.seed_parked(v, verdict, wake);
+    }
+    core
 }
 
 #[cfg(test)]

@@ -313,10 +313,28 @@ impl<S> ExecCore<S> {
 ///   parallel step encodes positionally collected verdicts in frontier
 ///   order instead — same bytes, pinned by `tests/soa_equiv.rs`).
 ///
+/// # Wake-round parking
+///
+/// A node seeded through [`ExecCoreSoa::seed_parked`] with a wake round
+/// `w > 1` is **parked**: the seeder promises that in every round before
+/// `w` the node's step would return `Active` with its own state unchanged,
+/// whatever its neighbors hold ([`SoaAlgorithm::wake_round`]'s contract).
+/// A parked node stays live — [`ExecCoreSoa::is_active`] reports it, the
+/// round's [`counters`](crate::counters) charge it and the transcript's
+/// frontier commitment hashes it — but it is not stepped, and its lanes
+/// are not rewritten, until round `w`. Since re-encoding an unchanged
+/// state writes the same lane bytes, parked and unparked runs end with
+/// identical columns, rounds, counters and transcripts
+/// (`tests/wake_equiv.rs`). A round without a transcript recorder never
+/// walks the parked nodes, and parking costs memory in the number of
+/// parked nodes only, never in the round budget.
+///
 /// Round accounting is shared with [`ExecCore`] (same
 /// [`counters`](crate::counters) hooks, same budget assertion), which is
 /// what keeps codec and boxed runs indistinguishable in every observable
 /// except memory layout.
+///
+/// [`SoaAlgorithm::wake_round`]: crate::SoaAlgorithm::wake_round
 #[derive(Debug)]
 pub struct ExecCoreSoa<S: StateCodec> {
     /// Current lane columns. During a step these hold the *previous*
@@ -330,10 +348,25 @@ pub struct ExecCoreSoa<S: StateCodec> {
     /// `seeded[i]` iff slot `i` participates (the boxed path's
     /// `Option::is_some`).
     seeded: Vec<bool>,
-    /// `active[i]` iff slot `i` holds a frontier node.
+    /// `active[i]` iff slot `i` holds a live node, stepped or parked.
     active: Vec<bool>,
-    /// Nodes still running, in seeding order.
+    /// Live nodes stepped each round: seeded unparked or already woken.
     frontier: Vec<NodeId>,
+    /// Parked nodes as `(wake_round, node)`; the entries from
+    /// `parked_next` on are still asleep. Wake rounds past `u32::MAX` are
+    /// stored as `u32::MAX`: waking early is always safe, since a parked
+    /// node's early steps return its state unchanged.
+    parked: Vec<(u32, NodeId)>,
+    /// First still-parked entry of `parked`.
+    parked_next: usize,
+    /// Whether the sleeping entries are in ascending wake order.
+    parked_sorted: bool,
+    /// Whether a transcript records this run.
+    recording: bool,
+    /// Every live node in seeding order — the order the transcript
+    /// commits a round's frontier in. Built when a node first parks in a
+    /// recorded run; until then it would equal `frontier`.
+    live_order: Option<Vec<NodeId>>,
     /// Communication rounds executed so far.
     rounds: u64,
 }
@@ -341,7 +374,7 @@ pub struct ExecCoreSoa<S: StateCodec> {
 impl<S: StateCodec> ExecCoreSoa<S> {
     /// An empty codec-backed core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        crate::transcript::segment_start();
+        let recording = crate::transcript::segment_start();
         ExecCoreSoa {
             main: SoaColumns::new(index_space),
             scratch: SoaColumns::new(index_space),
@@ -349,6 +382,11 @@ impl<S: StateCodec> ExecCoreSoa<S> {
             seeded: vec![false; index_space],
             active: vec![false; index_space],
             frontier: Vec::new(),
+            parked: Vec::new(),
+            parked_next: 0,
+            parked_sorted: true,
+            recording,
+            live_order: None,
             rounds: 0,
         }
     }
@@ -362,13 +400,39 @@ impl<S: StateCodec> ExecCoreSoa<S> {
     /// Panics if `v` was already seeded (same hard invariant as
     /// [`ExecCore::seed`]).
     pub fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
+        self.seed_parked(v, verdict, 1);
+    }
+
+    /// [`ExecCoreSoa::seed`] for a node that is first stepped in round
+    /// `wake_round`: an `Active` node due later than the next round parks
+    /// until then (see the type docs for the contract). A wake round at or
+    /// before the next round, or a `Halted` verdict, seeds exactly as
+    /// [`ExecCoreSoa::seed`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` was already seeded.
+    pub fn seed_parked(&mut self, v: NodeId, verdict: Verdict<S>, wake_round: u64) {
         assert!(!self.seeded[v.index()], "node {v:?} seeded twice");
         self.seeded[v.index()] = true;
         match verdict {
             Verdict::Active(s) => {
                 self.main.write(v, &s);
                 self.active[v.index()] = true;
-                self.frontier.push(v);
+                if wake_round > self.rounds + 1 {
+                    if self.recording && self.live_order.is_none() {
+                        // Nothing parked yet: the frontier is every live
+                        // node, in seeding order.
+                        self.live_order = Some(self.frontier.clone());
+                    }
+                    self.parked.push((u32::try_from(wake_round).unwrap_or(u32::MAX), v));
+                    self.parked_sorted = false;
+                } else {
+                    self.frontier.push(v);
+                }
+                if let Some(order) = &mut self.live_order {
+                    order.push(v);
+                }
             }
             Verdict::Halted(s) => {
                 self.main.write(v, &s);
@@ -379,15 +443,16 @@ impl<S: StateCodec> ExecCoreSoa<S> {
 
     /// `true` once every node has halted.
     pub fn is_done(&self) -> bool {
-        self.frontier.is_empty()
+        self.frontier.is_empty() && self.parked_next == self.parked.len()
     }
 
-    /// The nodes that will execute the next round, in deterministic order.
+    /// The nodes the current round steps, in deterministic order. Parked
+    /// nodes join it in the round they wake.
     pub fn frontier(&self) -> &[NodeId] {
         &self.frontier
     }
 
-    /// Whether `v` is still running — frontier membership in O(1).
+    /// Whether `v` is still running, stepped or parked — in O(1).
     pub fn is_active(&self, v: NodeId) -> bool {
         self.active[v.index()]
     }
@@ -409,20 +474,41 @@ impl<S: StateCodec> ExecCoreSoa<S> {
 
     /// Starts a communication round, returning its 1-based number — the
     /// exact accounting of [`ExecCore::begin_round`], so codec and boxed
-    /// runs advance the process-wide counters identically.
+    /// runs advance the process-wide counters identically. Parked nodes
+    /// count as live; those due this round join the frontier.
     ///
     /// # Panics
     ///
     /// Panics when the round budget is exhausted.
     pub fn begin_round(&mut self, max_rounds: u64) -> u64 {
+        let live = self.frontier.len() + (self.parked.len() - self.parked_next);
         assert!(
             self.rounds < max_rounds,
-            "algorithm did not halt within {max_rounds} rounds (still {} active)",
-            self.frontier.len()
+            "algorithm did not halt within {max_rounds} rounds (still {live} active)"
         );
-        crate::counters::record_round(widen_u64(self.frontier.len()));
-        crate::transcript::record_round(&self.frontier);
+        crate::counters::record_round(widen_u64(live));
+        match &mut self.live_order {
+            Some(order) => {
+                let active = &self.active;
+                order.retain(|v| active[v.index()]);
+                crate::transcript::record_round(order);
+            }
+            None => crate::transcript::record_round(&self.frontier),
+        }
         self.rounds += 1;
+        if !self.parked_sorted {
+            // In place, and by node within a wake round so woken nodes
+            // step in index order.
+            self.parked[self.parked_next..].sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+            self.parked_sorted = true;
+        }
+        while let Some(&(wake, v)) = self.parked.get(self.parked_next) {
+            if u64::from(wake) > self.rounds {
+                break;
+            }
+            self.frontier.push(v);
+            self.parked_next += 1;
+        }
         self.rounds
     }
 
@@ -581,7 +667,7 @@ impl<S: StateCodec> ExecCoreSoa<S> {
     ///
     /// Panics if called while nodes are still active.
     pub fn finish(self) -> SoaOutcome<S> {
-        assert!(self.frontier.is_empty(), "finish() before quiescence");
+        assert!(self.is_done(), "finish() before quiescence");
         SoaOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
     }
 }
@@ -816,6 +902,29 @@ mod tests {
         for i in 0..3 {
             assert_eq!(out.state(NodeId::new(i)), Lane((narrow_u32(i) + 1) * 10));
         }
+    }
+
+    #[test]
+    fn soa_parked_nodes_stay_live_but_are_stepped_from_their_wake_round() {
+        let mut core: ExecCoreSoa<Lane> = ExecCoreSoa::new(4);
+        core.seed_parked(NodeId::new(0), Verdict::Active(Lane(0)), 3);
+        core.seed_parked(NodeId::new(1), Verdict::Active(Lane(1)), 1);
+        core.seed_parked(NodeId::new(2), Verdict::Active(Lane(2)), 2);
+        core.seed_parked(NodeId::new(3), Verdict::Halted(Lane(3)), 9);
+        assert_eq!(core.frontier(), &[NodeId::new(1)]);
+        assert!(core.is_active(NodeId::new(0)) && !core.is_active(NodeId::new(3)));
+        let mut stepped = Vec::new();
+        while !core.is_done() {
+            let round = core.begin_round(10);
+            core.step_snapshot(|v, own, _| {
+                stepped.push((round, v.index()));
+                Verdict::Halted(own)
+            });
+        }
+        assert_eq!(stepped, vec![(1, 1), (2, 2), (3, 0)]);
+        let out = core.finish();
+        assert_eq!(out.rounds, 3);
+        assert_eq!(out.state(NodeId::new(0)), Lane(0));
     }
 
     #[test]

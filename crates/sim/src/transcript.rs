@@ -142,8 +142,15 @@ fn with_recorder(f: impl FnOnce(&mut Recorder)) {
 }
 
 /// A new engine run (one per core construction) starts a fresh segment.
-pub(crate) fn segment_start() {
-    with_recorder(|rec| rec.segments.push(RawSegment::default()));
+/// Returns whether this thread is recording, i.e. whether the run's
+/// rounds will be committed.
+pub(crate) fn segment_start() -> bool {
+    let mut recording = false;
+    with_recorder(|rec| {
+        rec.segments.push(RawSegment::default());
+        recording = true;
+    });
+    recording
 }
 
 /// Records that `v` halted after `round` rounds (0 = halted at seeding).
@@ -175,7 +182,8 @@ pub(crate) fn record_round(frontier: &[NodeId]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{run, Ctx, Snapshot, SyncAlgorithm, Verdict};
+    use crate::engine::{run, run_soa, Ctx, Snapshot, SoaAlgorithm, SyncAlgorithm, Verdict};
+    use crate::{SoaSnapshot, StateCodec};
     use treelocal_graph::{Graph, Topology};
 
     /// Halts node `v` after `v + 1` rounds.
@@ -225,30 +233,76 @@ mod tests {
         assert_eq!(t.total_rounds(), 3);
     }
 
+    /// [`Countdown`] on the codec core, parking every node until the
+    /// round it halts in: parked nodes must still be committed.
+    struct ParkedCountdown;
+    impl<T: Topology> SoaAlgorithm<T> for ParkedCountdown {
+        type State = Halt;
+        fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<Halt> {
+            Verdict::Active(Halt(widen_u64(v.index()) + 1))
+        }
+        fn wake_round(&self, own: &Halt) -> u64 {
+            own.0
+        }
+        fn step(
+            &self,
+            _ctx: &Ctx<T>,
+            _v: NodeId,
+            round: u64,
+            own: Halt,
+            _prev: &SoaSnapshot<'_, Halt>,
+        ) -> Verdict<Halt> {
+            if round >= own.0 {
+                Verdict::Halted(own)
+            } else {
+                Verdict::Active(own)
+            }
+        }
+    }
+
+    #[derive(Debug)]
+    struct Halt(u64);
+    impl StateCodec for Halt {
+        const U32_LANES: usize = 0;
+        const U64_LANES: usize = 1;
+        fn encode(&self, _lanes32: &mut [u32], lanes64: &mut [u64]) {
+            lanes64[0] = self.0;
+        }
+        fn decode(_lanes32: &[u32], lanes64: &[u64]) -> Self {
+            Halt(lanes64[0])
+        }
+    }
+
     #[test]
     fn commitments_match_an_independent_derivation() {
         let g = Graph::from_edges(3, &[(0, 1), (1, 2)]).unwrap();
         let ctx = Ctx::of(&g);
         begin();
         run(&ctx, &Countdown, 10);
-        let t = take();
-        // Frontier at round r = nodes with halt round >= r, commit order.
-        let mut chain = COMMITMENT_OFFSET;
-        for (r, &c) in t.segments[0].commitments.iter().enumerate() {
-            let round = widen_u64(r) + 1;
-            let frontier: Vec<NodeId> = t.segments[0]
-                .halts
-                .iter()
-                .filter(|&&(_, hr)| hr >= round)
-                .map(|&(v, _)| v)
-                .collect();
-            let mut h = commitment_fold(chain, round);
-            h = commitment_fold(h, widen_u64(frontier.len()));
-            for v in &frontier {
-                h = commitment_fold(h, widen_u64(v.index()));
+        let boxed = take();
+        begin();
+        run_soa(&ctx, &ParkedCountdown, 10);
+        let parked = take();
+        for t in [boxed, parked] {
+            assert_eq!(t.segments[0].rounds, 3);
+            // Frontier at round r = nodes with halt round >= r, commit order.
+            let mut chain = COMMITMENT_OFFSET;
+            for (r, &c) in t.segments[0].commitments.iter().enumerate() {
+                let round = widen_u64(r) + 1;
+                let frontier: Vec<NodeId> = t.segments[0]
+                    .halts
+                    .iter()
+                    .filter(|&&(_, hr)| hr >= round)
+                    .map(|&(v, _)| v)
+                    .collect();
+                let mut h = commitment_fold(chain, round);
+                h = commitment_fold(h, widen_u64(frontier.len()));
+                for v in &frontier {
+                    h = commitment_fold(h, widen_u64(v.index()));
+                }
+                assert_eq!(c, h, "round {round}");
+                chain = h;
             }
-            assert_eq!(c, h, "round {round}");
-            chain = h;
         }
     }
 
