@@ -102,7 +102,9 @@ fn linial_cert(name: &str, g: &Graph, message_engine: bool, threads: Option<usiz
 
 /// The full Theorem 12 pipeline — Linial, Kuhn–Wattenhofer reduction,
 /// color-class sweep — recorded as one multi-segment transcript.
-fn mis_pipeline_cert(name: &str, g: &Graph, threads: Option<usize>) -> Certificate {
+/// `threads` picks the pool size in `parallel` builds (`None`: the
+/// sequential engines); the certificate is the same either way.
+pub fn mis_pipeline_cert(name: &str, g: &Graph, threads: Option<usize>) -> Certificate {
     #[cfg(not(feature = "parallel"))]
     let _ = threads;
     let ctx = Ctx::of(g);

@@ -22,8 +22,7 @@ use crate::commit::{commit_round, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
 use crate::error::CheckError;
 use crate::rule::{check_solution, EdgePalette, MisWitness, Palette, Rule, Solution};
-use std::fmt::Write as _;
-use treelocal_graph::{widen_u64, Graph};
+use treelocal_graph::{widen_u64, Graph, OrInvariant};
 
 /// The format-version line every certificate must open with.
 pub const FORMAT_VERSION: &str = "treelocal-cert v1";
@@ -72,70 +71,117 @@ impl Certificate {
     /// Serializes to the canonical `treelocal-cert v1` text. The output
     /// is byte-deterministic: equal certificates serialize identically.
     pub fn to_text(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "{FORMAT_VERSION}");
-        let _ = writeln!(s, "instance {}", self.instance);
-        let _ = writeln!(s, "rule {}", rule_text(&self.rule));
-        let _ = writeln!(s, "nodes {}", self.nodes);
-        let _ = writeln!(s, "idspace {}", self.id_space);
-        let _ = writeln!(s, "edges {}", self.edges.len());
+        let mut out = Emitter { buf: Vec::with_capacity(self.text_len_hint()) };
+        out.line(&[FORMAT_VERSION]);
+        out.line(&["instance ", &self.instance]);
+        out.line(&["rule ", &rule_text(&self.rule)]);
+        out.field("nodes ", widen_u64(self.nodes));
+        out.field("idspace ", self.id_space);
+        out.field("edges ", widen_u64(self.edges.len()));
         for &(u, v) in &self.edges {
-            let _ = writeln!(s, "e {u} {v}");
+            out.pair("e ", widen_u64(u), widen_u64(v));
         }
         if let Some(lists) = &self.lists {
-            let _ = writeln!(s, "lists {}", lists.len());
+            out.field("lists ", widen_u64(lists.len()));
             for (i, list) in lists.iter().enumerate() {
-                let _ = write!(s, "l {i}");
-                for c in list {
-                    let _ = write!(s, " {c}");
+                out.text("l ");
+                out.num(widen_u64(i));
+                for &c in list {
+                    out.text(" ");
+                    out.num(c);
                 }
-                s.push('\n');
+                out.text("\n");
             }
         }
-        let _ = writeln!(s, "solution {}", self.solution.kind());
+        out.line(&["solution ", self.solution.kind()]);
         match &self.solution {
             Solution::NodeColors(colors) | Solution::EdgeColors(colors) => {
-                for (i, c) in colors.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {c}");
+                for (i, &c) in colors.iter().enumerate() {
+                    out.pair("s ", widen_u64(i), c);
                 }
             }
             Solution::NodeSet(set) | Solution::EdgeSet(set) => {
                 for (i, &b) in set.iter().enumerate() {
-                    let _ = writeln!(s, "s {i} {}", u8::from(b));
+                    out.pair("s ", widen_u64(i), u64::from(b));
                 }
             }
             Solution::MisWitnesses(witnesses) => {
                 for (i, w) in witnesses.iter().enumerate() {
-                    match w {
-                        MisWitness::Member => {
-                            let _ = writeln!(s, "s {i} M");
-                        }
+                    out.text("s ");
+                    out.num(widen_u64(i));
+                    match *w {
+                        MisWitness::Member => out.text(" M\n"),
                         MisWitness::NonMember { witness } => {
-                            let _ = writeln!(s, "s {i} P {witness}");
+                            out.text(" P ");
+                            out.num(widen_u64(witness));
+                            out.text("\n");
                         }
                     }
                 }
             }
         }
-        let _ = writeln!(s, "envelope {}", self.envelope.id());
-        let _ = writeln!(s, "rounds {}", self.rounds);
-        let _ = writeln!(s, "segments {}", self.segments.len());
+        out.line(&["envelope ", self.envelope.id()]);
+        out.field("rounds ", self.rounds);
+        out.field("segments ", widen_u64(self.segments.len()));
         for seg in &self.segments {
-            let _ = writeln!(s, "segment {} {}", seg.rounds, seg.participants);
+            out.pair("segment ", seg.rounds, widen_u64(seg.participants));
             for &(v, r) in &seg.halts {
-                let _ = writeln!(s, "h {v} {r}");
+                out.pair("h ", widen_u64(v), r);
             }
-            for (i, c) in seg.commitments.iter().enumerate() {
-                let _ = writeln!(s, "c {} {c:016x}", i + 1);
+            for (i, &c) in seg.commitments.iter().enumerate() {
+                out.text("c ");
+                out.num(widen_u64(i) + 1);
+                out.text(" ");
+                out.hex16(c);
+                out.text("\n");
             }
         }
-        s.push_str("end\n");
-        s
+        out.text("end\n");
+        String::from_utf8(out.buf).or_invariant("the emitter writes only str slices and ASCII")
+    }
+
+    /// The serialized size of an honest certificate (every index below
+    /// `max(nodes, edges)`, every halt below its segment's rounds), so
+    /// the emitter's buffer is sized once. Only a hint: a certificate
+    /// that breaks those bounds still serializes, with regrowth.
+    fn text_len_hint(&self) -> usize {
+        let index = digits(widen_u64(self.nodes.max(self.edges.len())));
+        let edge = digits(widen_u64(self.edges.len()));
+        let lists: usize = self.lists.as_ref().map_or(0, |lists| {
+            let colors = lists.iter().flatten().map(|&c| 1 + digits(c)).sum::<usize>();
+            lists.len() * (3 + index) + colors
+        });
+        let value = match &self.solution {
+            Solution::NodeColors(c) | Solution::EdgeColors(c) => c.iter().map(|&c| digits(c)).sum(),
+            Solution::NodeSet(s) | Solution::EdgeSet(s) => s.len(),
+            Solution::MisWitnesses(w) => w.len() * (2 + edge),
+        };
+        let segments: usize = self
+            .segments
+            .iter()
+            .map(|s| {
+                let round = digits(s.rounds);
+                48 + s.halts.len() * (4 + index + round) + s.commitments.len() * (20 + round)
+            })
+            .sum();
+        256 + self.instance.len()
+            + self.edges.len() * (4 + 2 * index)
+            + lists
+            + self.solution.len() * (4 + index)
+            + value
+            + segments
     }
 
     /// Parses canonical certificate text.
+    ///
+    /// Linear in the bytes: a newline count fixes the lines left (the
+    /// bound every announced count is checked against), then a forward
+    /// cursor reads the lines in order, decoding fields in place. A line
+    /// in the form the emitter writes is decoded in one scan. Nothing is
+    /// allocated per line beyond the parsed values themselves, and error
+    /// messages are only built on the error path.
     pub fn parse(text: &str) -> Result<Certificate, CheckError> {
-        let mut p = Parser { lines: text.lines().collect(), pos: 0 };
+        let mut p = Parser::new(text);
         let version = p.next("the format-version line")?;
         if version != FORMAT_VERSION {
             return Err(CheckError::VersionMismatch { found: version.to_string() });
@@ -147,22 +193,16 @@ impl Certificate {
         let edge_count = p.parse_count("edges")?;
         let mut edges = Vec::with_capacity(edge_count);
         for _ in 0..edge_count {
-            let rest = p.keyword_rest("e")?;
-            let (u, v) = parse_pair(rest, p.pos, "edge endpoints")?;
-            edges.push((u, v));
+            edges.push(p.pair("e", "edge endpoints")?);
         }
-        let lists = if p.peek_keyword("lists") {
+        let lists = if p.leads_with("lists") {
             let count = p.parse_count("lists")?;
             let mut lists: Vec<Vec<u64>> = Vec::with_capacity(count);
             for want in 0..count {
-                let rest = p.keyword_rest("l")?;
-                let mut toks = rest.split_ascii_whitespace();
+                let mut toks = p.keyword_rest("l")?.split_ascii_whitespace();
                 let i: usize = parse_tok(toks.next(), p.pos, "list node index")?;
                 if i != want {
-                    return Err(CheckError::Format {
-                        line: p.pos,
-                        what: format!("list for node {want}"),
-                    });
+                    return Err(format_error(p.pos, format!("list for node {want}")));
                 }
                 let mut list = Vec::new();
                 for t in toks {
@@ -174,68 +214,74 @@ impl Certificate {
         } else {
             None
         };
-        let kind = p.keyword_rest("solution")?.trim().to_string();
+        let kind = p.keyword_rest("solution")?.trim();
         let kind_line = p.pos;
-        let mut entries: Vec<(usize, usize, String)> = Vec::new();
-        while p.peek_keyword("s") {
-            let rest = p.keyword_rest("s")?;
+        let mut values = Witnesses::for_kind(kind, edge_count, nodes.min(p.lines_left()));
+        let mut density = Density::default();
+        let mut bad_value: Option<(usize, &'static str)> = None;
+        loop {
+            if let Some(i) = p.canonical_witness(&mut values) {
+                density.push(i);
+                continue;
+            }
+            let Some(rest) = p.take_if("s")? else { break };
             let (i, value) = split_index(rest, p.pos)?;
-            entries.push((i, p.pos, value));
+            density.push(i);
+            if let Err(what) = values.push(value) {
+                bad_value = bad_value.or(Some((p.pos, what)));
+            }
         }
-        dense(&entries)?;
-        let solution = parse_solution(&kind, kind_line, &entries)?;
+        density.finish()?;
+        let solution = values.finish(kind, kind_line)?;
+        if let Some((line, what)) = bad_value {
+            return Err(format_error(line, what));
+        }
         let envelope = match p.keyword_rest("envelope")?.trim() {
             "none" => Envelope::None,
             "linial" => Envelope::Linial,
             "mis-pipeline" => Envelope::MisPipeline,
-            other => {
-                return Err(CheckError::Format {
-                    line: p.pos,
-                    what: format!("a known envelope, not {other:?}"),
-                })
-            }
+            other => return Err(format_error(p.pos, format!("a known envelope, not {other:?}"))),
         };
         let rounds: u64 = p.parse_field("rounds")?;
         let segment_count = p.parse_count("segments")?;
         let mut segments = Vec::with_capacity(segment_count);
         for _ in 0..segment_count {
-            let rest = p.keyword_rest("segment")?;
-            let (seg_rounds, participants) = parse_pair(rest, p.pos, "segment header")?;
-            let mut halts = Vec::new();
-            while p.peek_keyword("h") {
-                let rest = p.keyword_rest("h")?;
-                let (v, r) = parse_pair(rest, p.pos, "halt record")?;
-                halts.push((v, r));
+            let (seg_rounds, participants): (u64, usize) = p.pair("segment", "segment header")?;
+            // Both counts are unverified claims: the lines left cap what
+            // they may reserve, and a block shorter than its claim gives
+            // the rest back, so many lying headers cannot add up.
+            let mut halts = Vec::with_capacity(participants.min(p.lines_left()));
+            while let Some(halt) = p.pair_if("h", "halt record")? {
+                halts.push(halt);
             }
-            let mut commitments = Vec::new();
-            while p.peek_keyword("c") {
-                let rest = p.keyword_rest("c")?;
+            halts.shrink_to_fit();
+            let claimed_rounds = usize::try_from(seg_rounds).unwrap_or(usize::MAX);
+            let mut commitments = Vec::with_capacity(claimed_rounds.min(p.lines_left()));
+            loop {
+                if let Some(c) = p.canonical_commitment(commitments.len() + 1) {
+                    commitments.push(c);
+                    continue;
+                }
+                let Some(rest) = p.take_if("c")? else { break };
                 let mut toks = rest.split_ascii_whitespace();
                 let r: usize = parse_tok(toks.next(), p.pos, "commitment round")?;
                 if r != commitments.len() + 1 {
-                    return Err(CheckError::Format {
-                        line: p.pos,
-                        what: format!("commitment for round {}", commitments.len() + 1),
-                    });
+                    let what = format!("commitment for round {}", commitments.len() + 1);
+                    return Err(format_error(p.pos, what));
                 }
-                let hex = toks.next().ok_or_else(|| CheckError::Format {
-                    line: p.pos,
-                    what: "a commitment value".to_string(),
-                })?;
-                let c = u64::from_str_radix(hex, 16).map_err(|_| CheckError::Format {
-                    line: p.pos,
-                    what: "a hex commitment value".to_string(),
-                })?;
+                let hex = toks.next().ok_or_else(|| format_error(p.pos, "a commitment value"))?;
+                let c = hex_u64(hex.as_bytes())
+                    .ok_or_else(|| format_error(p.pos, "a hex commitment value"))?;
                 commitments.push(c);
             }
+            commitments.shrink_to_fit();
             segments.push(Segment { rounds: seg_rounds, participants, halts, commitments });
         }
-        let end = p.next("the end line")?;
-        if end != "end" {
-            return Err(CheckError::Format { line: p.pos, what: "the end line".to_string() });
+        if p.next("the end line")? != "end" {
+            return Err(format_error(p.pos, "the end line"));
         }
-        if p.pos != p.lines.len() && p.lines[p.pos..].iter().any(|l| !l.trim().is_empty()) {
-            return Err(CheckError::Format { line: p.pos + 1, what: "end of file".to_string() });
+        if !p.rest().trim().is_empty() {
+            return Err(format_error(p.pos + 1, "end of file"));
         }
         Ok(Certificate {
             instance,
@@ -252,34 +298,180 @@ impl Certificate {
     }
 }
 
+/// The fmt-free text sink behind [`Certificate::to_text`].
+struct Emitter {
+    buf: Vec<u8>,
+}
+
+/// `"00" "01" ... "99"`: two decimal digits per table step.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+impl Emitter {
+    fn text(&mut self, s: &str) {
+        self.buf.extend_from_slice(s.as_bytes());
+    }
+
+    fn line(&mut self, parts: &[&str]) {
+        for part in parts {
+            self.text(part);
+        }
+        self.text("\n");
+    }
+
+    /// Appends `x` in decimal, as `Display` renders it: digits written
+    /// back to front, two at a time.
+    fn num(&mut self, mut x: u64) {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        while x >= 100 {
+            let pair = 2 * usize::from((x % 100) as u8);
+            x /= 100;
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        if x >= 10 {
+            let pair = 2 * usize::from(x as u8);
+            at -= 2;
+            digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        } else {
+            at -= 1;
+            digits[at] = b'0' + x as u8;
+        }
+        self.buf.extend_from_slice(&digits[at..]);
+    }
+
+    /// Appends `x` as 16 lowercase hex digits (`{x:016x}`).
+    fn hex16(&mut self, x: u64) {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut digits = [0u8; 16];
+        for (i, d) in digits.iter_mut().enumerate() {
+            *d = HEX[usize::from((x >> (60 - 4 * i)) as u8 & 0xf)];
+        }
+        self.buf.extend_from_slice(&digits);
+    }
+
+    /// `keyword<x>\n`.
+    fn field(&mut self, keyword: &str, x: u64) {
+        self.text(keyword);
+        self.num(x);
+        self.text("\n");
+    }
+
+    /// `keyword<a> <b>\n`.
+    fn pair(&mut self, keyword: &str, a: u64, b: u64) {
+        self.text(keyword);
+        self.num(a);
+        self.text(" ");
+        self.num(b);
+        self.text("\n");
+    }
+}
+
+/// Decimal digits of `x`.
+fn digits(x: u64) -> usize {
+    x.checked_ilog10().map_or(1, |d| usize::from(d as u8) + 1)
+}
+
+/// A forward cursor over the lines of a certificate, with the line
+/// semantics of `str::lines`: split at `\n`, one `\r` before it dropped,
+/// and no empty line after a final terminator.
 struct Parser<'a> {
-    lines: Vec<&'a str>,
+    text: &'a str,
+    /// Byte offset of the first unconsumed line.
+    at: usize,
     /// Lines consumed so far == 1-based number of the last consumed line.
     pos: usize,
+    /// Lines in the whole text.
+    lines: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn next(&mut self, what: &str) -> Result<&'a str, CheckError> {
-        let line = self
-            .lines
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| CheckError::Format { line: self.pos + 1, what: what.to_string() })?;
+    fn new(text: &'a str) -> Self {
+        // Counted in chunks a byte-wide counter cannot overflow in, which
+        // vectorizes.
+        let newlines: usize = text
+            .as_bytes()
+            .chunks(255)
+            .map(|chunk| usize::from(chunk.iter().fold(0u8, |n, &b| n + u8::from(b == b'\n'))))
+            .sum();
+        let lines = newlines + usize::from(!text.is_empty() && !text.ends_with('\n'));
+        Parser { text, at: 0, pos: 0, lines }
+    }
+
+    fn lines_left(&self) -> usize {
+        self.lines - self.pos
+    }
+
+    /// The unconsumed text.
+    fn rest(&self) -> &'a str {
+        &self.text[self.at..]
+    }
+
+    /// The next line and the offset just past its terminator.
+    fn peek(&self) -> Option<(&'a str, usize)> {
+        let rest = self.rest();
+        if rest.is_empty() {
+            return None;
+        }
+        Some(match rest.find('\n') {
+            Some(end) => {
+                let line = &rest[..end];
+                (line.strip_suffix('\r').unwrap_or(line), self.at + end + 1)
+            }
+            None => (rest, self.text.len()),
+        })
+    }
+
+    fn advance(&mut self, next: usize) {
+        self.at = next;
         self.pos += 1;
+    }
+
+    fn next(&mut self, what: &str) -> Result<&'a str, CheckError> {
+        let (line, next) = self.peek().ok_or_else(|| format_error(self.pos + 1, what))?;
+        self.advance(next);
         Ok(line)
+    }
+
+    /// Whether the next line's first whitespace-separated token is
+    /// `keyword`.
+    fn leads_with(&self, keyword: &str) -> bool {
+        self.peek().is_some_and(|(line, _)| first_token_is(line, keyword))
     }
 
     /// Consumes a `keyword rest...` line, returning `rest`.
     fn keyword_rest(&mut self, keyword: &str) -> Result<&'a str, CheckError> {
-        let line = self.next(&format!("a {keyword:?} line"))?;
-        match line.strip_prefix(keyword) {
-            Some(rest) if rest.starts_with(' ') || rest.is_empty() => Ok(rest.trim_start()),
-            _ => Err(CheckError::Format { line: self.pos, what: format!("a {keyword:?} line") }),
+        let Some((line, next)) = self.peek() else {
+            return Err(format_error(self.pos + 1, keyword_line(keyword)));
+        };
+        self.advance(next);
+        self.strip_keyword(line, keyword)
+    }
+
+    /// `keyword_rest` for the next line if its first token is `keyword`;
+    /// `None`, consuming nothing, otherwise. Peek and take share one
+    /// scan of the line.
+    fn take_if(&mut self, keyword: &str) -> Result<Option<&'a str>, CheckError> {
+        match self.peek() {
+            Some((line, next)) if first_token_is(line, keyword) => {
+                self.advance(next);
+                self.strip_keyword(line, keyword).map(Some)
+            }
+            _ => Ok(None),
         }
     }
 
-    fn peek_keyword(&self, keyword: &str) -> bool {
-        self.lines.get(self.pos).is_some_and(|l| l.split_ascii_whitespace().next() == Some(keyword))
+    /// The `rest` of a `keyword rest...` line just consumed.
+    fn strip_keyword(&self, line: &'a str, keyword: &str) -> Result<&'a str, CheckError> {
+        match line.strip_prefix(keyword) {
+            Some(rest) if rest.starts_with(' ') || rest.is_empty() => Ok(rest.trim_start()),
+            _ => Err(format_error(self.pos, keyword_line(keyword))),
+        }
     }
 
     /// Consumes `keyword <count>` announcing a block of `count` lines. A
@@ -287,33 +479,184 @@ impl<'a> Parser<'a> {
     /// rejected before it can size an allocation.
     fn parse_count(&mut self, keyword: &str) -> Result<usize, CheckError> {
         let count: usize = self.parse_field(keyword)?;
-        let left = self.lines.len() - self.pos;
+        let left = self.lines_left();
         if count > left {
-            return Err(CheckError::Format {
-                line: self.pos,
-                what: format!("at most {left} {keyword} (the lines left)"),
-            });
+            return Err(format_error(
+                self.pos,
+                format!("at most {left} {keyword} (the lines left)"),
+            ));
         }
         Ok(count)
     }
 
     /// Consumes `keyword <number>`.
-    fn parse_field<T: std::str::FromStr>(&mut self, keyword: &str) -> Result<T, CheckError> {
+    fn parse_field<T: TryFrom<u64>>(&mut self, keyword: &str) -> Result<T, CheckError> {
         let rest = self.keyword_rest(keyword)?;
-        parse_tok(Some(rest.trim()), self.pos, &format!("a {keyword} count"))
+        decimal(rest.trim().as_bytes())
+            .ok_or_else(|| format_error(self.pos, format!("a {keyword} count")))
+    }
+
+    // The record lines are read through a fast path first: a line in the
+    // exact form the emitter writes (`keyword a b\n`, single spaces,
+    // plain decimals) is decoded straight off the bytes in one scan. Any
+    // other line, including the last one of the text and every malformed
+    // one, is left untouched for the general path, which gives it the
+    // `str::lines` / `split_ascii_whitespace` reading. On canonical lines
+    // both paths agree, so the fast path changes no result.
+
+    /// Fields of the next line if it opens with `keyword` and one space.
+    fn canonical(&self, keyword: &str) -> Option<Fields<'a>> {
+        let bytes = self.text.as_bytes();
+        let fields = self.at + keyword.len();
+        (bytes[self.at..].starts_with(keyword.as_bytes()) && bytes.get(fields) == Some(&b' '))
+            .then_some(Fields { bytes, at: fields + 1 })
+    }
+
+    /// Consumes the canonical line `fields` has read through its `\n`.
+    fn commit(&mut self, fields: Fields<'a>) {
+        self.at = fields.at;
+        self.pos += 1;
+    }
+
+    /// A canonical `keyword a b` line.
+    fn canonical_pair<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+    ) -> Option<(A, B)> {
+        let mut f = self.canonical(keyword)?;
+        let a = f.decimal(b' ')?;
+        let b = f.decimal(b'\n')?;
+        self.commit(f);
+        Some((a, b))
+    }
+
+    /// Consumes a `keyword a b` line.
+    fn pair<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+        what: &str,
+    ) -> Result<(A, B), CheckError> {
+        if let Some(pair) = self.canonical_pair(keyword) {
+            return Ok(pair);
+        }
+        let rest = self.keyword_rest(keyword)?;
+        parse_pair(rest, self.pos, what)
+    }
+
+    /// Consumes a `keyword a b` line if the next line is a `keyword` line.
+    fn pair_if<A: TryFrom<u64>, B: TryFrom<u64>>(
+        &mut self,
+        keyword: &str,
+        what: &str,
+    ) -> Result<Option<(A, B)>, CheckError> {
+        if let Some(pair) = self.canonical_pair(keyword) {
+            return Ok(Some(pair));
+        }
+        match self.take_if(keyword)? {
+            Some(rest) => parse_pair(rest, self.pos, what).map(Some),
+            None => Ok(None),
+        }
+    }
+
+    /// A canonical `s <index> <value>` line, its value decoded into
+    /// `values`; returns the index.
+    fn canonical_witness(&mut self, values: &mut Witnesses) -> Option<usize> {
+        let mut f = self.canonical("s")?;
+        let i = f.decimal(b' ')?;
+        values.push_canonical(&mut f)?;
+        self.commit(f);
+        Some(i)
+    }
+
+    /// A canonical `c <round> <hex>` line for `round`.
+    fn canonical_commitment(&mut self, round: usize) -> Option<u64> {
+        let mut f = self.canonical("c")?;
+        if f.decimal::<usize>(b' ')? != round {
+            return None;
+        }
+        let c = hex_u64(f.until(b'\n')?)?;
+        self.commit(f);
+        Some(c)
     }
 }
 
-fn parse_tok<T: std::str::FromStr>(
-    tok: Option<&str>,
-    line: usize,
-    what: &str,
-) -> Result<T, CheckError> {
-    tok.and_then(|t| t.parse().ok())
-        .ok_or_else(|| CheckError::Format { line, what: what.to_string() })
+/// A byte cursor over the fields of one canonical line.
+struct Fields<'a> {
+    bytes: &'a [u8],
+    at: usize,
 }
 
-fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
+impl<'a> Fields<'a> {
+    /// The bytes up to the next `end` on this line, which is consumed
+    /// too. Never scans past the line's `\n`, so a failed attempt costs
+    /// at most one line.
+    fn until(&mut self, end: u8) -> Option<&'a [u8]> {
+        let rest = &self.bytes[self.at..];
+        let len = rest.iter().position(|&b| b == end || b == b'\n')?;
+        (rest[len] == end).then(|| {
+            self.at += len + 1;
+            &rest[..len]
+        })
+    }
+
+    /// A decimal field ended by `end`. A field holding whitespace or
+    /// anything else `decimal` rejects sends the line to the general path.
+    fn decimal<T: TryFrom<u64>>(&mut self, end: u8) -> Option<T> {
+        decimal(self.until(end)?)
+    }
+}
+
+#[cold]
+fn format_error(line: usize, what: impl Into<String>) -> CheckError {
+    CheckError::Format { line, what: what.into() }
+}
+
+#[cold]
+fn keyword_line(keyword: &str) -> String {
+    format!("a {keyword:?} line")
+}
+
+fn first_token_is(line: &str, keyword: &str) -> bool {
+    line.split_ascii_whitespace().next() == Some(keyword)
+}
+
+/// Parses a decimal integer exactly as `str::parse` does for unsigned
+/// types: an optional `+`, then one or more ASCII digits, no overflow.
+fn decimal<T: TryFrom<u64>>(tok: &[u8]) -> Option<T> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut x: u64 = 0;
+    for &b in digits {
+        let d = b.wrapping_sub(b'0');
+        if d > 9 {
+            return None;
+        }
+        x = x.checked_mul(10)?.checked_add(u64::from(d))?;
+    }
+    T::try_from(x).ok()
+}
+
+/// Parses hex exactly as `u64::from_str_radix(_, 16)` does.
+fn hex_u64(tok: &[u8]) -> Option<u64> {
+    let digits = tok.strip_prefix(b"+").unwrap_or(tok);
+    if digits.is_empty() {
+        return None;
+    }
+    let mut x: u64 = 0;
+    for &b in digits {
+        let d = char::from(b).to_digit(16)?;
+        x = x.checked_mul(16)?.checked_add(u64::from(d))?;
+    }
+    Some(x)
+}
+
+fn parse_tok<T: TryFrom<u64>>(tok: Option<&str>, line: usize, what: &str) -> Result<T, CheckError> {
+    tok.and_then(|t| decimal(t.as_bytes())).ok_or_else(|| format_error(line, what))
+}
+
+fn parse_pair<A: TryFrom<u64>, B: TryFrom<u64>>(
     rest: &str,
     line: usize,
     what: &str,
@@ -322,96 +665,144 @@ fn parse_pair<A: std::str::FromStr, B: std::str::FromStr>(
     let a = parse_tok(toks.next(), line, what)?;
     let b = parse_tok(toks.next(), line, what)?;
     if toks.next().is_some() {
-        return Err(CheckError::Format { line, what: what.to_string() });
+        return Err(format_error(line, what));
     }
     Ok((a, b))
 }
 
-fn split_index(rest: &str, line: usize) -> Result<(usize, String), CheckError> {
-    let mut toks = rest.splitn(2, ' ');
-    let i = parse_tok(toks.next(), line, "a witness index")?;
-    let value = toks
-        .next()
-        .ok_or_else(|| CheckError::Format { line, what: "a witness value".to_string() })?;
-    Ok((i, value.trim().to_string()))
+/// Splits `<index> <value>` at the first space; the value is borrowed,
+/// trimmed.
+fn split_index(rest: &str, line: usize) -> Result<(usize, &str), CheckError> {
+    let (index, value) = match rest.split_once(' ') {
+        Some((index, value)) => (index, Some(value)),
+        None => (rest, None),
+    };
+    let i = parse_tok(Some(index), line, "a witness index")?;
+    let value = value.ok_or_else(|| format_error(line, "a witness value"))?;
+    Ok((i, value.trim()))
 }
 
 /// Witness indices must be exactly `0, 1, 2, ...` — a gap is a dropped
-/// witness, a repeat a duplicated one.
-fn dense(entries: &[(usize, usize, String)]) -> Result<(), CheckError> {
-    for (want, &(i, _, _)) in entries.iter().enumerate() {
-        if i == want {
-            continue;
-        }
-        if entries.iter().filter(|&&(j, _, _)| j == i).count() > 1 {
-            return Err(CheckError::DuplicateWitness { index: i });
-        }
-        return Err(CheckError::MissingWitness { index: want });
-    }
-    Ok(())
+/// witness, a repeat a duplicated one. Checked as the lines stream by:
+/// only the first out-of-place index matters, and how often it occurs.
+#[derive(Default)]
+struct Density {
+    /// Witness lines seen.
+    seen: usize,
+    /// `(position, index, occurrences)` of the first out-of-place index.
+    first_gap: Option<(usize, usize, usize)>,
 }
 
-fn parse_solution(
-    kind: &str,
-    kind_line: usize,
-    entries: &[(usize, usize, String)],
-) -> Result<Solution, CheckError> {
-    match kind {
-        "node-colors" | "edge-colors" => {
-            let mut colors = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
-                colors.push(parse_tok(Some(value), line, "a color")?);
-            }
-            if kind == "node-colors" {
-                Ok(Solution::NodeColors(colors))
-            } else {
-                Ok(Solution::EdgeColors(colors))
-            }
+impl Density {
+    fn push(&mut self, i: usize) {
+        match &mut self.first_gap {
+            None if i == self.seen => {}
+            // Positions `0..seen` hold exactly the indices `0..seen`.
+            None => self.first_gap = Some((self.seen, i, 1 + usize::from(i < self.seen))),
+            Some((_, index, count)) => *count += usize::from(i == *index),
         }
-        "node-set" | "edge-set" => {
-            let mut set = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
-                match value.as_str() {
-                    "0" => set.push(false),
-                    "1" => set.push(true),
-                    _ => {
-                        return Err(CheckError::Format {
-                            line,
-                            what: "a 0/1 membership".to_string(),
-                        })
-                    }
-                }
-            }
-            if kind == "node-set" {
-                Ok(Solution::NodeSet(set))
-            } else {
-                Ok(Solution::EdgeSet(set))
-            }
+        self.seen += 1;
+    }
+
+    fn finish(&self) -> Result<(), CheckError> {
+        match self.first_gap {
+            None => Ok(()),
+            Some((_, index, count)) if count > 1 => Err(CheckError::DuplicateWitness { index }),
+            Some((want, ..)) => Err(CheckError::MissingWitness { index: want }),
         }
-        "mis-witness" => {
-            let mut witnesses = Vec::with_capacity(entries.len());
-            for &(_, line, ref value) in entries {
+    }
+}
+
+/// Witness values decoded in place, by the kind the `solution` line
+/// names.
+enum Witnesses {
+    Colors(Vec<u64>),
+    Set(Vec<bool>),
+    Mis(Vec<MisWitness>),
+    /// An unknown kind: values are not decoded, the kind is rejected once
+    /// the indices have been checked.
+    Unknown,
+}
+
+impl Witnesses {
+    /// An empty decoder; `edges` and `nodes` (capped by the lines left)
+    /// size the buffer of per-edge and per-node kinds.
+    fn for_kind(kind: &str, edges: usize, nodes: usize) -> Self {
+        match kind {
+            "node-colors" => Witnesses::Colors(Vec::with_capacity(nodes)),
+            "edge-colors" => Witnesses::Colors(Vec::with_capacity(edges)),
+            "node-set" => Witnesses::Set(Vec::with_capacity(nodes)),
+            "edge-set" => Witnesses::Set(Vec::with_capacity(edges)),
+            "mis-witness" => Witnesses::Mis(Vec::with_capacity(nodes)),
+            _ => Witnesses::Unknown,
+        }
+    }
+
+    /// Decodes one value, or names what was expected instead.
+    fn push(&mut self, value: &str) -> Result<(), &'static str> {
+        match self {
+            Witnesses::Colors(colors) => {
+                colors.push(decimal(value.as_bytes()).ok_or("a color")?);
+            }
+            Witnesses::Set(set) => match value {
+                "0" => set.push(false),
+                "1" => set.push(true),
+                _ => return Err("a 0/1 membership"),
+            },
+            Witnesses::Mis(witnesses) => {
                 let mut toks = value.split_ascii_whitespace();
                 match toks.next() {
                     Some("M") => witnesses.push(MisWitness::Member),
                     Some("P") => {
-                        let witness = parse_tok(toks.next(), line, "a witness edge")?;
+                        let witness = toks
+                            .next()
+                            .and_then(|t| decimal(t.as_bytes()))
+                            .ok_or("a witness edge")?;
                         witnesses.push(MisWitness::NonMember { witness });
                     }
-                    _ => {
-                        return Err(CheckError::Format {
-                            line,
-                            what: "an M or P witness".to_string(),
-                        })
-                    }
+                    _ => return Err("an M or P witness"),
                 }
             }
-            Ok(Solution::MisWitnesses(witnesses))
+            Witnesses::Unknown => {}
         }
-        other => Err(CheckError::Format {
-            line: kind_line,
-            what: format!("a known solution kind, not {other:?}"),
-        }),
+        Ok(())
+    }
+
+    /// Decodes the value of a canonical line (`M`, `P <edge>`, a color,
+    /// `0` or `1`, then `\n`), or pushes nothing.
+    fn push_canonical(&mut self, f: &mut Fields<'_>) -> Option<()> {
+        let value = f.until(b'\n')?;
+        match self {
+            Witnesses::Colors(colors) => colors.push(decimal(value)?),
+            Witnesses::Set(set) => set.push(match value {
+                b"0" => false,
+                b"1" => true,
+                _ => return None,
+            }),
+            Witnesses::Mis(witnesses) => witnesses.push(match value {
+                b"M" => MisWitness::Member,
+                [b'P', b' ', edge @ ..] => MisWitness::NonMember { witness: decimal(edge)? },
+                _ => return None,
+            }),
+            Witnesses::Unknown => return None,
+        }
+        Some(())
+    }
+
+    fn finish(self, kind: &str, kind_line: usize) -> Result<Solution, CheckError> {
+        Ok(match (self, kind) {
+            (Witnesses::Colors(c), "node-colors") => Solution::NodeColors(c),
+            (Witnesses::Colors(c), _) => Solution::EdgeColors(c),
+            (Witnesses::Set(s), "node-set") => Solution::NodeSet(s),
+            (Witnesses::Set(s), _) => Solution::EdgeSet(s),
+            (Witnesses::Mis(w), _) => Solution::MisWitnesses(w),
+            (Witnesses::Unknown, other) => {
+                return Err(format_error(
+                    kind_line,
+                    format!("a known solution kind, not {other:?}"),
+                ))
+            }
+        })
     }
 }
 
@@ -447,7 +838,7 @@ fn parse_rule(rest: &str, line: usize) -> Result<Rule, CheckError> {
     let mut toks = rest.split_ascii_whitespace();
     let head = toks.next().unwrap_or("");
     let arg = toks.next();
-    let bad = || CheckError::Format { line, what: "a known rule".to_string() };
+    let bad = || format_error(line, "a known rule");
     let rule = match head {
         "coloring" => {
             let p = arg.and_then(|a| a.strip_prefix("palette=")).ok_or_else(bad)?;
@@ -516,9 +907,24 @@ pub fn check_text(text: &str) -> Result<(), CheckError> {
     check_certificate(&Certificate::parse(text)?)
 }
 
+/// [`check_text`] on raw bytes, as read from a file: bytes that are not
+/// UTF-8 are a located [`CheckError::InvalidUtf8`] rejection.
+pub fn check_bytes(bytes: &[u8]) -> Result<(), CheckError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| {
+        let offset = e.valid_up_to();
+        let line = 1 + bytes[..offset].iter().filter(|&&b| b == b'\n').count();
+        CheckError::InvalidUtf8 { line, offset }
+    })?;
+    check_text(text)
+}
+
 fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     let mut chain = COMMITMENT_OFFSET;
     let mut total: u64 = 0;
+    // `(node, halt round)` of the participants still running, and their
+    // frontier; both reused across rounds and segments.
+    let mut live: Vec<(u64, u64)> = Vec::new();
+    let mut frontier: Vec<u64> = Vec::new();
     for (si, seg) in cert.segments.iter().enumerate() {
         if seg.participants != seg.halts.len() {
             return Err(CheckError::ParticipantCountMismatch {
@@ -560,17 +966,21 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
                 derived,
             });
         }
+        // The round-`r` frontier is every participant still running at
+        // round `r`, in ascending (= commit) order: shrink the live list
+        // once per round, so the work is the sum of the frontier sizes.
+        live.clear();
+        live.extend(seg.halts.iter().map(|&(v, r)| (widen_u64(v), r)));
         for (i, &found) in seg.commitments.iter().enumerate() {
             let round = widen_u64(i) + 1;
-            // The round-`r` frontier, re-derived from the halt records:
-            // every participant still running at round `r`, in ascending
-            // (= commit) order.
-            let frontier: Vec<u64> = seg
-                .halts
-                .iter()
-                .filter(|&&(_, hr)| hr >= round)
-                .map(|&(v, _)| widen_u64(v))
-                .collect();
+            frontier.clear();
+            live.retain(|&(v, hr)| {
+                let running = hr >= round;
+                if running {
+                    frontier.push(v);
+                }
+                running
+            });
             let expected = commit_round(chain, round, &frontier);
             if expected != found {
                 return Err(CheckError::CommitmentMismatch { segment: si, round, expected, found });
@@ -680,6 +1090,35 @@ mod tests {
             check_certificate(&cert),
             Err(CheckError::CommitmentMismatch { segment: 0, round: 1, .. })
         ));
+    }
+
+    #[test]
+    fn the_emitter_is_sized_once_for_honest_certificates() {
+        let cert = tiny_mis_cert();
+        let text = cert.to_text();
+        assert!(cert.text_len_hint() >= text.len());
+        assert!(text.capacity() < 2 * text.len() + 512, "{} for {}", text.capacity(), text.len());
+    }
+
+    #[test]
+    fn lying_segment_headers_reserve_nothing_they_do_not_fill() {
+        // Every header claims the most participants and rounds a count
+        // can, and carries no records: capped by the lines left, each
+        // claim may reserve briefly, but none is kept.
+        let headers = 2000;
+        let mut text = tiny_mis_cert().to_text();
+        let at = text.find("segments 1").unwrap();
+        text.truncate(at);
+        text.push_str(&format!("segments {headers}\n"));
+        for _ in 0..headers {
+            text.push_str(&format!("segment {} {}\n", u64::MAX, usize::MAX));
+        }
+        text.push_str("end\n");
+        let cert = Certificate::parse(&text).unwrap();
+        assert_eq!(cert.segments.len(), headers);
+        for seg in &cert.segments {
+            assert_eq!((seg.halts.capacity(), seg.commitments.capacity()), (0, 0));
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@ pub enum CheckError {
         /// What was expected there.
         what: String,
     },
+    /// The certificate bytes are not UTF-8 text.
+    InvalidUtf8 {
+        /// Line (1-based) holding the first invalid byte.
+        line: usize,
+        /// Byte offset of the first invalid byte.
+        offset: usize,
+    },
     /// The format-version line does not announce a supported version.
     VersionMismatch {
         /// The version line found.
@@ -243,6 +250,9 @@ impl fmt::Display for CheckError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CheckError::Format { line, what } => write!(f, "line {line}: expected {what}"),
+            CheckError::InvalidUtf8 { line, offset } => {
+                write!(f, "line {line}: invalid UTF-8 at byte {offset}")
+            }
             CheckError::VersionMismatch { found } => {
                 write!(f, "unsupported certificate version: {found:?}")
             }

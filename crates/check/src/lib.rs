@@ -52,7 +52,7 @@ mod envelope;
 mod error;
 mod rule;
 
-pub use cert::{check_certificate, check_text, Certificate, Segment, FORMAT_VERSION};
+pub use cert::{check_bytes, check_certificate, check_text, Certificate, Segment, FORMAT_VERSION};
 pub use commit::{commit_round, commitment_fold, COMMITMENT_OFFSET, COMMITMENT_PRIME};
 pub use envelope::{check_envelope, envelope_limit, log_star, Envelope};
 pub use error::CheckError;

@@ -58,14 +58,16 @@ fn main() -> ExitCode {
     let mut failures = 0usize;
     for path in &certs {
         let name = path.display();
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
+        // Bytes, not a String: a certificate that is not UTF-8 is a
+        // rejection like any other malformed one, not an I/O error.
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
             Err(e) => {
                 eprintln!("cannot read {name}: {e}");
                 return ExitCode::from(2);
             }
         };
-        match treelocal_check::check_text(&text) {
+        match treelocal_check::check_bytes(&bytes) {
             Ok(()) => println!("OK   {name}"),
             Err(e) => {
                 println!("FAIL {name}: {e}");
