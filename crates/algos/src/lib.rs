@@ -62,3 +62,13 @@ pub use node_solvers::{DegColoringAlgo, DeltaColoringAlgo, ListColoringAlgo, Mis
 pub use reduce::kw_reduce_with_threads;
 pub use reduce::{kw_reduce, sweep_reduce, KwPhase, ReduceOutcome, SweepPhase};
 pub use traits::{ChargedModel, GlobalCtx, TrulyLocal};
+
+/// SplitMix64 finalizer: the kernel property tests' value stream from one
+/// drawn seed.
+#[cfg(test)]
+fn test_mix(seed: u64, i: u64) -> u64 {
+    let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -151,7 +151,7 @@ impl LinialAlgo {
         &self,
         round: u64,
         own_color: u64,
-        neighbor_colors: impl Iterator<Item = u64>,
+        neighbor_colors: impl Iterator<Item = u64> + Clone,
     ) -> Verdict<ColorState> {
         let stage = self.schedule[(round - 1) as usize];
         let state = ColorState { color: recolor(stage, own_color, neighbor_colors) };
@@ -211,38 +211,46 @@ impl<T: Topology> SoaAlgorithm<T> for LinialAlgo {
 /// state snapshot) and the message form (neighbor colors received through
 /// ports), which is what makes the two engines produce identical colorings
 /// round for round.
-fn recolor(stage: Stage, own: u64, neighbor_colors: impl Iterator<Item = u64>) -> u64 {
+///
+/// Every polynomial evaluates at `x = 0` to its low digit `c mod q`, so
+/// the point `x = 0` is tested first with one `%` per neighbor and no
+/// digit rows. Most nodes stop there; only on a collision are the
+/// neighbor polynomials expanded and the search continued from `x = 1`,
+/// so the chosen point is the one the full search from `x = 0` picks.
+/// The neighbor colors are read twice in that case, hence the `Clone`
+/// bound.
+fn recolor(stage: Stage, own: u64, neighbor_colors: impl Iterator<Item = u64> + Clone) -> u64 {
+    let q = stage.q;
+    let mine0 = own % q;
+    if neighbor_colors.clone().all(|c| c % q != mine0) {
+        return mine0;
+    }
     // `best_stage` caps d at 48, so a stack row holds any polynomial and
     // the flat neighbor scratch (one `width`-sized row per neighbor) is
-    // reused across every node and round on this thread: the hot loop
-    // allocates nothing after the first node warms the scratch up to the
-    // maximum degree seen.
+    // reused across every node and round on this thread: the collision
+    // path allocates nothing after the first node warms the scratch up to
+    // the maximum degree seen.
     let width = stage.d as usize + 1;
     let mut my_poly = [0u64; MAX_STAGE_DEGREE + 1];
-    digits_into(own, stage.q, &mut my_poly[..width]);
+    digits_into(own, q, &mut my_poly[..width]);
     NEIGHBOR_POLY_SCRATCH.with(|cell| {
         let polys = &mut *cell.borrow_mut();
         polys.clear();
         for c in neighbor_colors {
             let row = polys.len();
             polys.resize(row + width, 0);
-            digits_into(c, stage.q, &mut polys[row..row + width]);
+            digits_into(c, q, &mut polys[row..row + width]);
         }
-        // Find an evaluation point disagreeing with every neighbor.
-        let mut x_found = None;
-        'outer: for x in 0..stage.q {
-            let mine = eval_poly(&my_poly[..width], x, stage.q);
-            for theirs in polys.chunks_exact(width) {
-                if eval_poly(theirs, x, stage.q) == mine {
-                    continue 'outer;
-                }
-            }
-            x_found = Some((x, mine));
-            break;
-        }
-        let (x, px) = x_found.or_invariant("q > d*Delta guarantees an evaluation point");
-        let color = x * stage.q + px;
-        debug_assert!(color < stage.q * stage.q);
+        // Find an evaluation point disagreeing with every neighbor; x = 0
+        // collided above.
+        let (x, px) = (1..q)
+            .map(|x| (x, eval_poly(&my_poly[..width], x, q)))
+            .find(|&(x, mine)| {
+                polys.chunks_exact(width).all(|theirs| eval_poly(theirs, x, q) != mine)
+            })
+            .or_invariant("q > d*Delta guarantees an evaluation point");
+        let color = x * q + px;
+        debug_assert!(color < q * q);
         color
     })
 }
@@ -468,6 +476,7 @@ pub fn is_proper<T: Topology>(topo: &T, colors: &[Option<u64>]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_mix as mix;
     use treelocal_graph::Graph;
 
     fn path(n: usize) -> Graph {
@@ -644,6 +653,82 @@ mod tests {
             let mut lanes64 = [0u64; ColorState::U64_LANES];
             s.encode(&mut [], &mut lanes64);
             proptest::prop_assert_eq!(ColorState::decode(&[], &lanes64), s);
+        }
+    }
+
+    /// The search [`recolor`] short-cuts: every neighbor polynomial
+    /// expanded up front, then the first `x` from 0 at which `own`'s
+    /// polynomial disagrees with all of them.
+    fn recolor_full_search(stage: Stage, own: u64, neighbors: &[u64]) -> u64 {
+        let q = stage.q;
+        let digits = |c| {
+            let mut row = vec![0; stage.d as usize + 1];
+            digits_into(c, q, &mut row);
+            row
+        };
+        let mine = digits(own);
+        let polys: Vec<Vec<u64>> = neighbors.iter().map(|&c| digits(c)).collect();
+        (0..q)
+            .find_map(|x| {
+                let px = eval_poly(&mine, x, q);
+                polys.iter().all(|p| eval_poly(p, x, q) != px).then_some(x * q + px)
+            })
+            .expect("q > d*Delta guarantees an evaluation point")
+    }
+
+    proptest::proptest! {
+        /// The `x = 0` early exit picks the color the full search picks,
+        /// on every stage of the schedules the engine runs, whether `x = 0`
+        /// is free or (with `collide`) taken by a neighbor sharing `own`'s
+        /// low digit.
+        #[test]
+        fn recolor_early_exit_matches_the_full_search(
+            n in 2u64..200_000,
+            space in 0u64..3,
+            delta in 1usize..71,
+            seed in proptest::prelude::any::<u64>(),
+            collide in 0u64..2,
+        ) {
+            let id_space = match space {
+                0 => n,
+                1 => n * n,
+                _ => 1 << 40,
+            };
+            let mut draws = 0u64;
+            let mut draw = |bound: u64| {
+                draws += 1;
+                mix(seed, draws) % bound
+            };
+            for stage in linial_schedule(id_space, delta) {
+                let own = draw(stage.c_in);
+                let count = usize::try_from((stage.c_in - 1).min(delta as u64)).unwrap();
+                let mut neighbors = std::collections::BTreeSet::new();
+                if collide == 1 {
+                    // Another color with `own`'s low digit, if the stage has one.
+                    let high = stage.c_in.div_ceil(stage.q);
+                    let c = own % stage.q + stage.q * draw(high);
+                    if c != own && c < stage.c_in {
+                        neighbors.insert(c);
+                    }
+                }
+                while neighbors.len() < count {
+                    let c = draw(stage.c_in);
+                    if c != own {
+                        neighbors.insert(c);
+                    }
+                }
+                let neighbors: Vec<u64> = neighbors.into_iter().collect();
+                for order in [neighbors.clone(), neighbors.iter().rev().copied().collect()] {
+                    let fast = recolor(stage, own, order.iter().copied());
+                    proptest::prop_assert_eq!(
+                        fast,
+                        recolor_full_search(stage, own, &order),
+                        "stage {:?}, own {}",
+                        stage,
+                        own
+                    );
+                }
+            }
         }
     }
 

@@ -30,19 +30,32 @@ pub struct ReduceOutcome {
     pub rounds: u64,
 }
 
-/// Smallest value not in `used` (any order, repeats allowed).
-fn smallest_free(mut used: Vec<u64>) -> u64 {
-    used.sort_unstable();
-    used.dedup();
-    let mut c = 0u64;
+/// Smallest value not in `used`, where `used` holds at most `degree`
+/// values (any order, repeats allowed).
+///
+/// The answer is at most `degree`, so only values `≤ degree` are marked,
+/// in a word bitset: one stack word below degree 64, `degree / 64 + 1`
+/// words from there on. Linear in the values, no sort.
+fn smallest_free(used: impl Iterator<Item = u64>, degree: usize) -> u64 {
+    let mut one = [0u64; 1];
+    let mut many = Vec::new();
+    let words: &mut [u64] = if degree < 64 {
+        &mut one
+    } else {
+        many.resize(degree / 64 + 1, 0);
+        &mut many
+    };
     for u in used {
-        if u == c {
-            c += 1;
-        } else if u > c {
-            break;
+        if u <= degree as u64 {
+            words[u as usize / 64] |= 1 << (u % 64);
         }
     }
-    c
+    let (i, w) = words
+        .iter()
+        .enumerate()
+        .find(|&(_, &w)| w != u64::MAX)
+        .or_invariant("at most `degree` of the `degree + 1` low bits are marked");
+    (i * 64) as u64 + u64::from((!w).trailing_zeros())
 }
 
 // ---------------------------------------------------------------------
@@ -120,14 +133,10 @@ impl<T: Topology> SoaAlgorithm<T> for SweepPhase<'_> {
         // Pick the smallest color (0-based, below m) unused by neighbors'
         // current colors. Unprocessed neighbors hold colors ≥ m (shifted),
         // so they never block small colors.
-        let used: Vec<u64> = ctx
-            .topo
-            .neighbor_nodes(v)
-            .iter()
-            .map(|&w| prev.get(w).color)
-            .filter(|&c| c < self.m)
-            .collect();
-        Verdict::Halted(SweepState { color: smallest_free(used), my_round: own.my_round })
+        let neighbors = ctx.topo.neighbor_nodes(v);
+        let used = neighbors.iter().map(|&w| prev.get(w).color).filter(|&c| c < self.m);
+        let color = smallest_free(used, neighbors.len());
+        Verdict::Halted(SweepState { color, my_round: own.my_round })
     }
 }
 
@@ -244,17 +253,15 @@ impl<T: Topology> SoaAlgorithm<T> for KwPhase<'_> {
         // compact namespace (recognizable by FINAL_TAG; waiting neighbors
         // still carry untagged original-namespace colors and block
         // nothing).
-        let used_slots: Vec<u64> = ctx
-            .topo
-            .neighbor_nodes(v)
+        let neighbors = ctx.topo.neighbor_nodes(v);
+        let used_slots = neighbors
             .iter()
             .map(|&w| prev.get(w).color)
             .filter(|&c| c & FINAL_TAG != 0)
             .map(|c| c & !FINAL_TAG)
             .filter(|&c| c / self.slots == group)
-            .map(|c| c % self.slots)
-            .collect();
-        let slot = smallest_free(used_slots);
+            .map(|c| c % self.slots);
+        let slot = smallest_free(used_slots, neighbors.len());
         debug_assert!(slot < self.slots, "at most Δ same-group neighbors");
         Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + slot) })
     }
@@ -332,6 +339,7 @@ fn kw_inner<T: Topology + ParSafe>(
 mod tests {
     use super::*;
     use crate::linial::{is_proper, run_linial};
+    use crate::test_mix as mix;
     use treelocal_graph::Graph;
 
     fn check_proper_u32(g: &Graph, colors: &[Option<u32>]) -> bool {
@@ -409,6 +417,84 @@ mod tests {
         let out = sweep_reduce(&ctx, &initial, 2);
         assert!(check_proper_u32(&g, &out.colors));
         assert!(out.final_colors <= 2);
+    }
+
+    /// The sort-based pick the bitset replaced.
+    fn smallest_free_sorted(mut used: Vec<u64>) -> u64 {
+        used.sort_unstable();
+        used.dedup();
+        let mut c = 0u64;
+        for u in used {
+            if u == c {
+                c += 1;
+            } else if u > c {
+                break;
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn bitset_pick_matches_the_sorted_pick_for_every_degree() {
+        for degree in 0..=130usize {
+            for seed in 0..40u64 {
+                let m = 1 + mix(seed, 0) % 300;
+                let mut used: Vec<u64> = (1..)
+                    .map(|i| {
+                        let x = mix(seed, i);
+                        match x % 7 {
+                            // Below the answer's ceiling, repeats likely.
+                            0..=2 => x % (degree as u64 + 2),
+                            // Unprocessed sweep colors, shifted to ≥ m.
+                            3 => m + x % m,
+                            // Settled KW colors, tag set.
+                            4 => FINAL_TAG | (x % 500),
+                            // Colors of another group, or far out.
+                            5 => degree as u64 + 1 + x % 1000,
+                            _ => u64::MAX - x % 3,
+                        }
+                    })
+                    .take(degree - usize::try_from(mix(seed, 1) % 3).unwrap().min(degree))
+                    .collect();
+                if seed % 4 == 0 {
+                    // Every value below the degree taken: the answer is the
+                    // ceiling itself, at the bitset's last live bit.
+                    used = (0..degree as u64).rev().collect();
+                }
+                assert_eq!(
+                    smallest_free(used.iter().copied(), degree),
+                    smallest_free_sorted(used.clone()),
+                    "degree {degree}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn reductions_on_a_star_wider_than_one_bitset_word() {
+        // Δ = 70: the center's pick spans two words (Δ + 1 > 64).
+        let g = treelocal_gen::relabel(
+            &treelocal_gen::star(71),
+            treelocal_gen::IdStrategy::Permuted { seed: 4 },
+        );
+        let ctx = Ctx::of(&g);
+        let lin = run_linial(&ctx);
+        let kw = kw_reduce(&ctx, &lin.colors, lin.final_bound);
+        assert!(check_proper_u32(&g, &kw.colors));
+        assert!(kw.final_colors <= 71, "{} colors > Δ+1", kw.final_colors);
+        let sweep = sweep_reduce(&ctx, &lin.colors, lin.final_bound);
+        assert!(check_proper_u32(&g, &sweep.colors));
+        for v in g.node_ids() {
+            assert!(sweep.colors[v.index()].unwrap() as usize <= g.degree(v) + 1);
+        }
+        // Leaves settle at once on the kept slots 0..=69 of group 0 (one
+        // group of 2(Δ+1) = 142 colors); the center moves and must take
+        // slot 70, the first bit of the second word.
+        let mut initial: Vec<Option<u64>> = (0..71).map(|i| Some(i.max(1) - 1)).collect();
+        initial[0] = Some(141);
+        let kw = kw_reduce(&ctx, &initial, 142);
+        assert_eq!(kw.colors[0], Some(71), "center takes the slot after its 70 leaves");
+        assert!(check_proper_u32(&g, &kw.colors));
     }
 
     proptest::proptest! {

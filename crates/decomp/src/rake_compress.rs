@@ -188,24 +188,35 @@ pub fn check_lemma9(rc: &RakeCompress, n: usize) -> bool {
 /// The Lemma 10 quantity: the maximum degree of the graph induced by the
 /// edges whose **lower endpoint** lies in a compress layer.
 pub fn compress_edge_max_degree(g: &Graph, rc: &RakeCompress) -> usize {
-    let order = rc.layer_order();
-    let mut deg = vec![0usize; g.node_count()];
-    for e in g.edge_ids() {
-        let lo = order.lower_endpoint(g, e);
-        if rc.is_compressed(lo) {
-            let [u, v] = g.endpoints(e);
-            deg[u.index()] += 1;
-            deg[v.index()] += 1;
-        }
-    }
-    deg.into_iter().max().unwrap_or(0)
+    lemma10_degrees(g, rc).0
 }
 
 /// Checks Lemma 10: `compress_edge_max_degree ≤ k`. Also implies the
 /// bound used by Theorem 12: the underlying degree of `T_C` is at most `k`.
 pub fn check_lemma10(g: &Graph, rc: &RakeCompress) -> bool {
-    compress_edge_max_degree(g, rc) <= rc.k
-        && rc.compressed_semigraph(g).underlying_max_degree() <= rc.k
+    let (compress_edge, tc) = lemma10_degrees(g, rc);
+    compress_edge <= rc.k && tc <= rc.k
+}
+
+/// One edge pass computing [`compress_edge_max_degree`] and the maximum
+/// underlying degree of `T_C` (the rank-2 edges of
+/// [`RakeCompress::compressed_semigraph`]: both endpoints compressed),
+/// without building the semi-graph.
+fn lemma10_degrees(g: &Graph, rc: &RakeCompress) -> (usize, usize) {
+    let order = rc.layer_order();
+    let mut deg = vec![[0u32; 2]; g.node_count()];
+    for e in g.edge_ids() {
+        let lo = order.lower_endpoint(g, e);
+        if rc.is_compressed(lo) {
+            let [u, v] = g.endpoints(e);
+            let in_tc = u32::from(rc.is_compressed(u) && rc.is_compressed(v));
+            for w in [u, v] {
+                deg[w.index()][0] += 1;
+                deg[w.index()][1] += in_tc;
+            }
+        }
+    }
+    deg.into_iter().fold((0, 0), |(a, b), [x, y]| (a.max(widen_u32(x)), b.max(widen_u32(y))))
 }
 
 /// The Lemma 11 quantity: the maximum diameter over connected components
@@ -598,6 +609,41 @@ mod tests {
         assert_eq!(tc.nodes().len() + tr.nodes().len(), 60);
         // Half-edges partition (each edge's halves split by endpoint side).
         assert_eq!(tc.half_edge_count() + tr.half_edge_count(), 2 * g.edge_count());
+    }
+
+    proptest::proptest! {
+        /// The one-pass Lemma 10 degrees equal the semi-graph-derived
+        /// `T_C` degree and the separate edge pass, and the check gives
+        /// the verdict of the two-build check it replaced.
+        #[test]
+        fn lemma10_degrees_match_the_semigraph(
+            n in 1usize..400,
+            k in 2usize..8,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let g = random_tree(n, seed);
+            let rc = rake_compress(&g, k);
+            let (compress_edge, tc) = lemma10_degrees(&g, &rc);
+            let tc_reference = rc.compressed_semigraph(&g).underlying_max_degree();
+            proptest::prop_assert_eq!(tc, tc_reference);
+            proptest::prop_assert_eq!(compress_edge, compress_edge_max_degree(&g, &rc));
+            proptest::prop_assert_eq!(
+                check_lemma10(&g, &rc),
+                compress_edge <= k && tc_reference <= k
+            );
+        }
+    }
+
+    #[test]
+    fn lemma10_check_fails_on_a_high_degree_compress_edge_graph() {
+        // Relabelling every node as compressed in iteration 1 puts each
+        // star edge under a compress layer and the whole star in `T_C`.
+        let g = star(12);
+        let mut rc = rake_compress(&g, 4);
+        rc.mark_of.fill(Mark::Compress);
+        rc.iteration_of.fill(1);
+        assert_eq!(lemma10_degrees(&g, &rc), (11, 11));
+        assert!(!check_lemma10(&g, &rc));
     }
 
     #[test]

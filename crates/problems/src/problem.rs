@@ -141,6 +141,13 @@ pub fn verify_semigraph<P: Problem>(
 /// Checks that `labeling` is a complete, valid solution of `p` on the whole
 /// graph `g`.
 ///
+/// The result is [`verify_semigraph`] on `SemiGraph::whole(g)`, checked
+/// straight on the graph's CSR with one reused label buffer and in the
+/// same order: missing halves, then edges in index order, then nodes. A
+/// node's labels are gathered in neighbor order, which the order-blind
+/// [`Problem`] predicates accept; a violation reports them in ascending
+/// edge order, as the semi-graph check does.
+///
 /// # Errors
 ///
 /// Same as [`verify_semigraph`].
@@ -149,8 +156,33 @@ pub fn verify_graph<P: Problem>(
     g: &Graph,
     labeling: &HalfEdgeLabeling<P::Label>,
 ) -> Result<(), Violation<P::Label>> {
-    let s = SemiGraph::whole(g);
-    verify_semigraph(p, &s, labeling)
+    let halves = |e: EdgeId| match labeling.edge_labels(e) {
+        [Some(a), Some(b)] => Ok([a, b]),
+        _ => Err(Violation::Missing { edge: e }),
+    };
+    for e in g.edge_ids() {
+        halves(e)?;
+    }
+    for e in g.edge_ids() {
+        let labels = halves(e)?;
+        if !p.edge_ok(&labels) {
+            return Err(Violation::EdgeConstraint { edge: e, labels: labels.to_vec() });
+        }
+    }
+    let label_at =
+        |e: EdgeId, v: NodeId| labeling.get_at(e, g.side_of(e, v)).or_invariant("checked complete");
+    let mut labels = Vec::with_capacity(g.max_degree());
+    for v in g.node_ids() {
+        labels.clear();
+        labels.extend(g.neighbor_edges(v).iter().map(|&e| label_at(e, v)));
+        if !p.node_ok_at(v, &labels) {
+            let mut edges = g.neighbor_edges(v).to_vec();
+            edges.sort_unstable();
+            let labels = edges.into_iter().map(|e| label_at(e, v)).collect();
+            return Err(Violation::NodeConstraint { node: v, labels });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use crate::codec::{SoaColumns, SoaOutcome, SoaSnapshot, StateCodec};
 use crate::engine::{RunOutcome, Snapshot, Verdict};
 use treelocal_graph::OrInvariant;
-use treelocal_graph::{widen_u64, NodeId};
+use treelocal_graph::{widen_u32, widen_u64, NodeId};
 
 /// Double-buffered frontier executor for synchronous LOCAL rounds.
 ///
@@ -359,7 +359,8 @@ pub struct ExecCoreSoa<S: StateCodec> {
     parked: Vec<(u32, NodeId)>,
     /// First still-parked entry of `parked`.
     parked_next: usize,
-    /// Whether the sleeping entries are in ascending wake order.
+    /// Whether the sleeping entries are in ascending wake order (see
+    /// [`bucket_by_wake`]).
     parked_sorted: bool,
     /// Whether a transcript records this run.
     recording: bool,
@@ -497,18 +498,18 @@ impl<S: StateCodec> ExecCoreSoa<S> {
         }
         self.rounds += 1;
         if !self.parked_sorted {
-            // In place, and by node within a wake round so woken nodes
-            // step in index order.
-            self.parked[self.parked_next..].sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+            bucket_by_wake(&mut self.parked[self.parked_next..]);
             self.parked_sorted = true;
         }
-        while let Some(&(wake, v)) = self.parked.get(self.parked_next) {
-            if u64::from(wake) > self.rounds {
-                break;
-            }
-            self.frontier.push(v);
-            self.parked_next += 1;
-        }
+        let rounds = self.rounds;
+        let due =
+            self.parked[self.parked_next..].partition_point(|&(wake, _)| u64::from(wake) <= rounds);
+        let woken = &mut self.parked[self.parked_next..self.parked_next + due];
+        // Woken nodes step in index order. Buckets keep seeding order, which
+        // `seed_soa` makes ascending, so this sort only confirms a run.
+        woken.sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+        self.frontier.extend(woken.iter().map(|&(_, v)| v));
+        self.parked_next += due;
         self.rounds
     }
 
@@ -669,6 +670,60 @@ impl<S: StateCodec> ExecCoreSoa<S> {
     pub fn finish(self) -> SoaOutcome<S> {
         assert!(self.is_done(), "finish() before quiescence");
         SoaOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
+    }
+}
+
+/// Orders parked `(wake, node)` entries by wake round, keeping seeding
+/// order within a round: a stable counting sort, in place and linear.
+///
+/// Each entry's wake field first takes its target position, then one
+/// cycle walk moves every entry to its target (each swap settles one
+/// entry), and the wake rounds are written back bucket by bucket. The only
+/// scratch is one counter per wake round in the range. A range wider than
+/// the entry count (a tiny instance with a large palette, or wakes clamped
+/// at `u32::MAX`) would need more counters than entries, so it is sorted
+/// by `(wake, node)` instead, which is an order the waking step accepts
+/// as it stands.
+fn bucket_by_wake(entries: &mut [(u32, NodeId)]) {
+    if entries.is_empty() {
+        return;
+    }
+    let (lo, hi) = entries.iter().fold((u32::MAX, 0), |(lo, hi), &(w, _)| (lo.min(w), hi.max(w)));
+    let span = widen_u32(hi - lo) + 1;
+    if span > entries.len() {
+        entries.sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+        return;
+    }
+    // `next[b]`: the next free position of bucket `b` (wake `lo + b`).
+    let mut next = vec![0u32; span];
+    for &(wake, _) in entries.iter() {
+        next[widen_u32(wake - lo)] += 1;
+    }
+    let mut start = 0u32;
+    for slot in &mut next {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    for entry in entries.iter_mut() {
+        let bucket = &mut next[widen_u32(entry.0 - lo)];
+        entry.0 = *bucket;
+        *bucket += 1;
+    }
+    for i in 0..entries.len() {
+        while widen_u32(entries[i].0) != i {
+            let target = widen_u32(entries[i].0);
+            entries.swap(i, target);
+        }
+    }
+    // `next[b]` now ends bucket `b`.
+    let mut start = 0;
+    for (wake, &end) in (lo..=hi).zip(&next) {
+        let end = widen_u32(end);
+        for entry in &mut entries[start..end] {
+            entry.0 = wake;
+        }
+        start = end;
     }
 }
 
@@ -925,6 +980,94 @@ mod tests {
         let out = core.finish();
         assert_eq!(out.rounds, 3);
         assert_eq!(out.state(NodeId::new(0)), Lane(0));
+    }
+
+    /// Seeds `(node, wake)` pairs in the given order, steps every node
+    /// once (halting it) and returns the `(round, node)` steps in order.
+    fn parked_steps(n: usize, seeds: &[(usize, u64)], max_rounds: u64) -> Vec<(u64, usize)> {
+        let mut core: ExecCoreSoa<Lane> = ExecCoreSoa::new(n);
+        for &(v, wake) in seeds {
+            core.seed_parked(NodeId::new(v), Verdict::Active(Lane(narrow_u32(v))), wake);
+        }
+        let mut stepped = Vec::new();
+        while !core.is_done() && core.rounds() < max_rounds {
+            let round = core.begin_round(max_rounds);
+            core.step_snapshot(|v, own, _| {
+                stepped.push((round, v.index()));
+                Verdict::Halted(own)
+            });
+        }
+        stepped
+    }
+
+    /// The order the parked nodes must step in: by wake round, then index.
+    fn by_wake_then_index(seeds: &[(usize, u64)]) -> Vec<(u64, usize)> {
+        let mut want: Vec<(u64, usize)> = seeds.iter().map(|&(v, w)| (w, v)).collect();
+        want.sort_unstable();
+        want
+    }
+
+    #[test]
+    fn soa_out_of_order_seeding_wakes_in_wake_then_index_order() {
+        let seeds = [(5, 3), (2, 2), (7, 3), (0, 2), (3, 4), (6, 2), (1, 3), (4, 4), (8, 2)];
+        assert_eq!(parked_steps(9, &seeds, 10), by_wake_then_index(&seeds));
+    }
+
+    #[test]
+    fn soa_wakes_spread_wider_than_the_parked_count_keep_their_order() {
+        // Five parked nodes over wake rounds 2..=40.
+        let seeds = [(3, 40), (0, 9), (4, 2), (1, 40), (2, 3)];
+        assert_eq!(parked_steps(5, &seeds, 50), by_wake_then_index(&seeds));
+    }
+
+    #[test]
+    fn soa_wakes_clamped_at_u32_max_stay_parked_behind_the_due_ones() {
+        let huge = [u64::MAX, u64::from(u32::MAX) + 1, u64::from(u32::MAX)];
+        let seeds = [(4, huge[0]), (1, 3), (5, huge[1]), (0, 2), (3, huge[2]), (2, 3)];
+        let stepped = parked_steps(6, &seeds, 12);
+        assert_eq!(stepped, vec![(2, 0), (3, 1), (3, 2)]);
+        // The clamped bucket itself: one wake, index order once woken.
+        let mut entries: Vec<(u32, NodeId)> =
+            [4, 5, 3].into_iter().map(|v| (u32::MAX, NodeId::new(v))).collect();
+        bucket_by_wake(&mut entries);
+        entries.sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+        assert_eq!(entries, [3, 4, 5].map(|v| (u32::MAX, NodeId::new(v))));
+    }
+
+    #[test]
+    fn bucketing_is_a_stable_sort_by_wake() {
+        let mix = |seed: u64, i: u64| {
+            let mut z = seed.wrapping_add(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        for seed in 0..200u64 {
+            let len = usize::try_from(mix(seed, 0) % 300).unwrap();
+            // Dense ranges take the counting path, wide ones the fallback.
+            let span = 1 + mix(seed, 1) % (2 * widen_u64(len) + 2);
+            let lo = if seed % 5 == 0 { u64::from(u32::MAX) - span + 1 } else { 2 };
+            let entries: Vec<(u32, NodeId)> = (0..len)
+                .map(|i| {
+                    let wake = lo + mix(seed, 2 + widen_u64(i)) % span;
+                    (u32::try_from(wake).unwrap(), NodeId::new(len - 1 - i))
+                })
+                .collect();
+            let mut got = entries.clone();
+            bucket_by_wake(&mut got);
+            let mut stable = entries.clone();
+            stable.sort_by_key(|&(wake, _)| wake);
+            if widen_u64(len) >= span {
+                assert_eq!(got, stable, "seed {seed}: counting sort is not stable");
+            }
+            // Either way, sorting each wake run by index gives (wake, index).
+            let mut full = entries;
+            full.sort_unstable_by_key(|&(wake, v)| (wake, v.index()));
+            for run in got.chunk_by_mut(|a, b| a.0 == b.0) {
+                run.sort_unstable_by_key(|&(_, v)| v.index());
+            }
+            assert_eq!(got, full, "seed {seed}");
+        }
     }
 
     #[test]
