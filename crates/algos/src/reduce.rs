@@ -208,20 +208,46 @@ impl<'c> KwPhase<'c> {
     }
 }
 
+/// The compact color of `c` in a phase with `slots` slots per group, if
+/// `c` already lies in its group's kept slot range (the node does not
+/// move); `None` for a mover.
+fn kept(c: u64, slots: u64) -> Option<u64> {
+    let rel = c % (2 * slots);
+    (rel < slots).then(|| c / (2 * slots) * slots + rel)
+}
+
+/// Applies a phase in which no node of `ctx` moves to `colors`, in
+/// place. Such a run halts every node at seeding (zero rounds, no
+/// transcript segment kept, no counter moved) with its color renamed by
+/// [`kept`], and leaves the slots outside the topology uncolored.
+/// Returns `false`, with `colors` untouched, if some node moves.
+fn rename_without_movers<T: Topology>(
+    ctx: &Ctx<'_, T>,
+    colors: &mut Vec<Option<u64>>,
+    slots: u64,
+) -> bool {
+    let color = |v: NodeId| colors[v.index()].or_invariant("initial color");
+    if ctx.topo.nodes().any(|v| kept(color(v), slots).is_none()) {
+        return false;
+    }
+    colors.resize(ctx.topo.index_space(), None);
+    for (i, c) in colors.iter_mut().enumerate() {
+        *c = c.filter(|_| ctx.topo.contains_node(NodeId::new(i))).and_then(|c| kept(c, slots));
+    }
+    true
+}
+
 impl<T: Topology> SoaAlgorithm<T> for KwPhase<'_> {
     type State = KwState;
 
     fn init(&self, _ctx: &Ctx<T>, v: NodeId) -> Verdict<KwState> {
         let c = self.initial[v.index()].or_invariant("initial color");
         debug_assert!(c < self.m);
-        let rel = c % (2 * self.slots);
-        if rel < self.slots {
+        match kept(c, self.slots) {
             // Already within the kept slot range: final immediately (tagged
             // so moving neighbors recognize it as a settled slot).
-            let group = c / (2 * self.slots);
-            Verdict::Halted(KwState { color: FINAL_TAG | (group * self.slots + rel) })
-        } else {
-            Verdict::Active(KwState { color: c })
+            Some(compact) => Verdict::Halted(KwState { color: FINAL_TAG | compact }),
+            None => Verdict::Active(KwState { color: c }),
         }
     }
 
@@ -307,20 +333,22 @@ fn kw_inner<T: Topology + ParSafe>(
     let mut m_cur = m.max(1);
     let mut rounds = 0u64;
     while m_cur > slots {
-        let phase = KwPhase::new(&colors, m_cur, slots);
-        #[cfg(feature = "parallel")]
-        let out = match threads {
-            Some(t) => run_soa_with_threads(ctx, &phase, 2 * slots + 2, t),
-            None => run_soa(ctx, &phase, 2 * slots + 2),
-        };
-        #[cfg(not(feature = "parallel"))]
-        let out = run_soa(ctx, &phase, 2 * slots + 2);
-        rounds += out.rounds;
+        if !rename_without_movers(ctx, &mut colors, slots) {
+            let phase = KwPhase::new(&colors, m_cur, slots);
+            #[cfg(feature = "parallel")]
+            let out = match threads {
+                Some(t) => run_soa_with_threads(ctx, &phase, 2 * slots + 2, t),
+                None => run_soa(ctx, &phase, 2 * slots + 2),
+            };
+            #[cfg(not(feature = "parallel"))]
+            let out = run_soa(ctx, &phase, 2 * slots + 2);
+            rounds += out.rounds;
+            colors = (0..out.index_space())
+                .map(|i| out.try_state(NodeId::new(i)).map(|st| st.color & !FINAL_TAG))
+                .collect();
+        }
         let groups = m_cur.div_ceil(2 * slots);
         m_cur = groups * slots;
-        colors = (0..out.index_space())
-            .map(|i| out.try_state(NodeId::new(i)).map(|st| st.color & !FINAL_TAG))
-            .collect();
         // Tag is stripped; ensure the invariant holds.
         debug_assert!(colors.iter().flatten().all(|&c| c < m_cur));
     }

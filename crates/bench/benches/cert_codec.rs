@@ -6,11 +6,20 @@
 //! * `parse` — read back with `Certificate::parse`,
 //! * `check` — validated with `check_certificate` (instance, solution,
 //!   envelope, re-derived commitment chain).
+//!
+//! The transcript's two sides are timed on their own as well:
+//!
+//! * `transcript/record` — the pipeline run with the recorder armed
+//!   (per-round commitments, halts handed over at each core's `finish()`),
+//! * `check/transcript` — the checker's re-derivation of the commitment
+//!   chain from the halt rounds alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use treelocal_algos::{kw_reduce, mis_from_coloring, run_linial};
 use treelocal_bench::certs::mis_pipeline_cert;
-use treelocal_check::{check_certificate, Certificate};
+use treelocal_check::{check_certificate, check_transcript, Certificate};
 use treelocal_gen::{random_tree, relabel, IdStrategy};
+use treelocal_sim::{transcript, Ctx};
 
 fn bench_cert_codec(c: &mut Criterion) {
     let n = 100_000usize;
@@ -27,6 +36,25 @@ fn bench_cert_codec(c: &mut Criterion) {
         b.iter(|| Certificate::parse(&text).map(|c| c.nodes))
     });
     group.bench_function(BenchmarkId::new("check", n), |b| b.iter(|| check_certificate(&parsed)));
+    group.finish();
+
+    let mut group = c.benchmark_group("transcript");
+    group.bench_function(BenchmarkId::new("record", n), |b| {
+        let ctx = Ctx::of(&g);
+        b.iter(|| {
+            transcript::begin();
+            let lin = run_linial(&ctx);
+            let kw = kw_reduce(&ctx, &lin.colors, lin.final_bound);
+            mis_from_coloring(&ctx, &kw.colors, u64::from(kw.final_colors));
+            transcript::take().total_rounds()
+        })
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("check");
+    group.bench_function(BenchmarkId::new("transcript", n), |b| {
+        b.iter(|| check_transcript(&parsed))
+    });
     group.finish();
 }
 

@@ -18,7 +18,7 @@
 //!    with halt round `>= r`, so a matching commitment chain proves the
 //!    engine's frontier shrank exactly as the halt records say.
 
-use crate::commit::{commit_round, COMMITMENT_OFFSET};
+use crate::commit::{commitment_fold, COMMITMENT_OFFSET};
 use crate::envelope::{check_envelope, Envelope};
 use crate::error::CheckError;
 use crate::rule::{check_solution, EdgePalette, MisWitness, Palette, Rule, Solution};
@@ -918,13 +918,17 @@ pub fn check_bytes(bytes: &[u8]) -> Result<(), CheckError> {
     check_text(text)
 }
 
-fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
+/// Validates the transcript layer alone: segment headers against their
+/// halt records, and every round's commitment re-derived from the halt
+/// rounds, threaded across segments; the segments' rounds must sum to the
+/// certificate's. [`check_certificate`] runs it last.
+pub fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
     let mut chain = COMMITMENT_OFFSET;
     let mut total: u64 = 0;
-    // `(node, halt round)` of the participants still running, and their
-    // frontier; both reused across rounds and segments.
+    // `(node, halt round)` of the participants still running, and how
+    // many participants halt in each round; both reused across segments.
     let mut live: Vec<(u64, u64)> = Vec::new();
-    let mut frontier: Vec<u64> = Vec::new();
+    let mut halting: Vec<usize> = Vec::new();
     for (si, seg) in cert.segments.iter().enumerate() {
         if seg.participants != seg.halts.len() {
             return Err(CheckError::ParticipantCountMismatch {
@@ -958,34 +962,51 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
                 commitments: seg.commitments.len(),
             });
         }
-        let derived = seg.halts.iter().map(|&(_, r)| r).max().unwrap_or(0);
-        if derived != seg.rounds {
+        // Every halt round is at most `rounds`, which the commitment
+        // lines back, so the histogram is bounded by the certificate.
+        halting.clear();
+        halting.resize(seg.commitments.len() + 1, 0);
+        let mut derived = 0;
+        for &(_, r) in &seg.halts {
+            let r = usize::try_from(r).or_invariant("halt round within the commitment count");
+            halting[r] += 1;
+            derived = derived.max(r);
+        }
+        if widen_u64(derived) != seg.rounds {
             return Err(CheckError::SegmentRoundsMismatch {
                 segment: si,
                 claimed: seg.rounds,
-                derived,
+                derived: widen_u64(derived),
             });
         }
         // The round-`r` frontier is every participant still running at
-        // round `r`, in ascending (= commit) order: shrink the live list
-        // once per round, so the work is the sum of the frontier sizes.
+        // round `r`, in ascending (= commit) order. Its size is known from
+        // the histogram before it is walked, so one pass per round drops
+        // the nodes that halted and folds the rest: the work is the sum of
+        // the frontier sizes.
         live.clear();
         live.extend(seg.halts.iter().map(|&(v, r)| (widen_u64(v), r)));
+        let mut running = seg.halts.len();
         for (i, &found) in seg.commitments.iter().enumerate() {
             let round = widen_u64(i) + 1;
-            frontier.clear();
+            running -= halting[i];
+            let mut h = commitment_fold(commitment_fold(chain, round), widen_u64(running));
             live.retain(|&(v, hr)| {
-                let running = hr >= round;
-                if running {
-                    frontier.push(v);
+                let still = hr >= round;
+                if still {
+                    h = commitment_fold(h, v);
                 }
-                running
+                still
             });
-            let expected = commit_round(chain, round, &frontier);
-            if expected != found {
-                return Err(CheckError::CommitmentMismatch { segment: si, round, expected, found });
+            if h != found {
+                return Err(CheckError::CommitmentMismatch {
+                    segment: si,
+                    round,
+                    expected: h,
+                    found,
+                });
             }
-            chain = expected;
+            chain = h;
         }
         total += seg.rounds;
     }
@@ -998,6 +1019,7 @@ fn check_transcript(cert: &Certificate) -> Result<(), CheckError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commit::commit_round;
 
     /// A hand-built, fully consistent MIS certificate on a 3-path: all
     /// three nodes run one round, then halt together.

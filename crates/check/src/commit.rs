@@ -17,13 +17,37 @@ pub const COMMITMENT_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 pub const COMMITMENT_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one `u64` into an FNV-1a 64-bit hash, little-endian byte order.
-pub fn commitment_fold(mut h: u64, x: u64) -> u64 {
-    for shift in 0..8u32 {
-        let byte = (x >> (8 * shift)) & 0xff;
-        h = (h ^ byte).wrapping_mul(COMMITMENT_PRIME);
+/// `PRIME_POW[z]` = `COMMITMENT_PRIME` to the power `z`, mod 2⁶⁴.
+static PRIME_POW: [u64; 9] = prime_powers();
+
+const fn prime_powers() -> [u64; 9] {
+    let mut pow = [0u64; 9];
+    let mut acc = 1u64;
+    let mut z = 0;
+    while z <= 8 {
+        pow[z] = acc;
+        acc = acc.wrapping_mul(COMMITMENT_PRIME);
+        z += 1;
     }
-    h
+    pow
+}
+
+/// Folds one `u64` into an FNV-1a 64-bit hash, little-endian byte order.
+///
+/// Bytes are consumed low to high while any non-zero byte is left; each
+/// of the `z` zero bytes above them would only multiply by the prime
+/// (XOR with zero is the identity), so they fold as one multiply by
+/// `PRIME^z`. The value is byte-at-a-time FNV-1a's.
+#[inline]
+pub fn commitment_fold(mut h: u64, x: u64) -> u64 {
+    let mut rest = x;
+    let mut zeros = 8;
+    while rest != 0 {
+        h = (h ^ (rest & 0xff)).wrapping_mul(COMMITMENT_PRIME);
+        rest >>= 8;
+        zeros -= 1;
+    }
+    h.wrapping_mul(PRIME_POW[zeros])
 }
 
 /// Advances the chain by one round: fold the 1-based round number, the

@@ -50,12 +50,13 @@ pub struct ExecCore<S> {
     active: Vec<bool>,
     /// Communication rounds executed so far.
     rounds: u64,
+    /// What a recorded run keeps for its transcript; `None` otherwise.
+    recording: Option<Recording>,
 }
 
 impl<S> ExecCore<S> {
     /// An empty core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        crate::transcript::segment_start();
         let mut states = Vec::with_capacity(index_space);
         states.resize_with(index_space, || None);
         let mut scratch = Vec::with_capacity(index_space);
@@ -66,6 +67,7 @@ impl<S> ExecCore<S> {
             frontier: Vec::new(),
             active: vec![false; index_space],
             rounds: 0,
+            recording: Recording::start(index_space),
         }
     }
 
@@ -81,16 +83,17 @@ impl<S> ExecCore<S> {
     /// to corrupt executions silently.
     pub fn seed(&mut self, v: NodeId, verdict: Verdict<S>) {
         assert!(self.states[v.index()].is_none(), "node {v:?} seeded twice");
+        if let Some(rec) = &mut self.recording {
+            rec.participants += 1;
+        }
         match verdict {
             Verdict::Active(s) => {
                 self.states[v.index()] = Some(s);
                 self.active[v.index()] = true;
                 self.frontier.push(v);
             }
-            Verdict::Halted(s) => {
-                self.states[v.index()] = Some(s);
-                crate::transcript::record_halt(v, 0);
-            }
+            // Halt round 0 is the column's initial value.
+            Verdict::Halted(s) => self.states[v.index()] = Some(s),
         }
     }
 
@@ -138,8 +141,11 @@ impl<S> ExecCore<S> {
             self.frontier.len()
         );
         crate::counters::record_round(widen_u64(self.frontier.len()));
-        crate::transcript::record_round(&self.frontier);
         self.rounds += 1;
+        if let Some(rec) = &mut self.recording {
+            crate::transcript::record_round(rec.segment, &self.frontier);
+            rec.enter_round(self.rounds);
+        }
         self.rounds
     }
 
@@ -199,7 +205,7 @@ impl<S> ExecCore<S> {
         );
         let states = &mut self.states;
         let active = &mut self.active;
-        let rounds = self.rounds;
+        let mut recording = self.recording.as_mut();
         let mut verdicts = verdicts.into_iter();
         self.frontier.retain(|&v| {
             match verdicts.next().or_invariant("one verdict per frontier node") {
@@ -210,7 +216,9 @@ impl<S> ExecCore<S> {
                 Verdict::Halted(s) => {
                     states[v.index()] = Some(s);
                     active[v.index()] = false;
-                    crate::transcript::record_halt(v, rounds);
+                    if let Some(rec) = &mut recording {
+                        rec.halt(v);
+                    }
                     false
                 }
             }
@@ -268,7 +276,7 @@ impl<S> ExecCore<S> {
         let states = &mut self.states;
         let scratch = &mut self.scratch;
         let active = &mut self.active;
-        let rounds = self.rounds;
+        let mut recording = self.recording.as_mut();
         self.frontier.retain(|&v| {
             let i = v.index();
             match scratch[i].take().or_invariant("frontier node was stepped this round") {
@@ -279,20 +287,26 @@ impl<S> ExecCore<S> {
                 Verdict::Halted(s) => {
                     states[i] = Some(s);
                     active[i] = false;
-                    crate::transcript::record_halt(v, rounds);
+                    if let Some(rec) = &mut recording {
+                        rec.halt(v);
+                    }
                     false
                 }
             }
         });
     }
 
-    /// Consumes the core into the run's outcome.
+    /// Consumes the core into the run's outcome. A recording run hands
+    /// its segment's halts to the transcript here.
     ///
     /// # Panics
     ///
     /// Panics if called while nodes are still active.
     pub fn finish(self) -> RunOutcome<S> {
         assert!(self.frontier.is_empty(), "finish() before quiescence");
+        if let Some(rec) = self.recording {
+            rec.hand_over(self.states.iter().map(Option::is_some));
+        }
         RunOutcome { states: self.states, rounds: self.rounds }
     }
 }
@@ -362,8 +376,8 @@ pub struct ExecCoreSoa<S: StateCodec> {
     /// Whether the sleeping entries are in ascending wake order (see
     /// [`bucket_by_wake`]).
     parked_sorted: bool,
-    /// Whether a transcript records this run.
-    recording: bool,
+    /// What a recorded run keeps for its transcript; `None` otherwise.
+    recording: Option<Recording>,
     /// Every live node in seeding order — the order the transcript
     /// commits a round's frontier in. Built when a node first parks in a
     /// recorded run; until then it would equal `frontier`.
@@ -375,7 +389,6 @@ pub struct ExecCoreSoa<S: StateCodec> {
 impl<S: StateCodec> ExecCoreSoa<S> {
     /// An empty codec-backed core over `index_space` state slots.
     pub fn new(index_space: usize) -> Self {
-        let recording = crate::transcript::segment_start();
         ExecCoreSoa {
             main: SoaColumns::new(index_space),
             scratch: SoaColumns::new(index_space),
@@ -386,7 +399,7 @@ impl<S: StateCodec> ExecCoreSoa<S> {
             parked: Vec::new(),
             parked_next: 0,
             parked_sorted: true,
-            recording,
+            recording: Recording::start(index_space),
             live_order: None,
             rounds: 0,
         }
@@ -416,12 +429,15 @@ impl<S: StateCodec> ExecCoreSoa<S> {
     pub fn seed_parked(&mut self, v: NodeId, verdict: Verdict<S>, wake_round: u64) {
         assert!(!self.seeded[v.index()], "node {v:?} seeded twice");
         self.seeded[v.index()] = true;
+        if let Some(rec) = &mut self.recording {
+            rec.participants += 1;
+        }
         match verdict {
             Verdict::Active(s) => {
                 self.main.write(v, &s);
                 self.active[v.index()] = true;
                 if wake_round > self.rounds + 1 {
-                    if self.recording && self.live_order.is_none() {
+                    if self.recording.is_some() && self.live_order.is_none() {
                         // Nothing parked yet: the frontier is every live
                         // node, in seeding order.
                         self.live_order = Some(self.frontier.clone());
@@ -435,10 +451,8 @@ impl<S: StateCodec> ExecCoreSoa<S> {
                     order.push(v);
                 }
             }
-            Verdict::Halted(s) => {
-                self.main.write(v, &s);
-                crate::transcript::record_halt(v, 0);
-            }
+            // Halt round 0 is the column's initial value.
+            Verdict::Halted(s) => self.main.write(v, &s),
         }
     }
 
@@ -488,15 +502,30 @@ impl<S: StateCodec> ExecCoreSoa<S> {
             "algorithm did not halt within {max_rounds} rounds (still {live} active)"
         );
         crate::counters::record_round(widen_u64(live));
-        match &mut self.live_order {
-            Some(order) => {
-                let active = &self.active;
-                order.retain(|v| active[v.index()]);
-                crate::transcript::record_round(order);
-            }
-            None => crate::transcript::record_round(&self.frontier),
-        }
         self.rounds += 1;
+        if let Some(rec) = &mut self.recording {
+            rec.enter_round(self.rounds);
+            match &mut self.live_order {
+                // One pass: drop the nodes halted last round and fold the
+                // survivors, whose number is already known. (A recorder
+                // taken mid-run leaves `live_order` stale, and unread.)
+                Some(order) => {
+                    if let Some(mut fold) = crate::transcript::RoundFold::open(rec.segment, live) {
+                        let active = &self.active;
+                        order.retain(|&v| {
+                            let live = active[v.index()];
+                            if live {
+                                fold.node(v);
+                            }
+                            live
+                        });
+                        fold.close();
+                    }
+                }
+                // Before this round's woken nodes join the frontier.
+                None => crate::transcript::record_round(rec.segment, &self.frontier),
+            }
+        }
         if !self.parked_sorted {
             bucket_by_wake(&mut self.parked[self.parked_next..]);
             self.parked_sorted = true;
@@ -576,7 +605,7 @@ impl<S: StateCodec> ExecCoreSoa<S> {
     {
         let main = &mut self.main;
         let active = &mut self.active;
-        let rounds = self.rounds;
+        let mut recording = self.recording.as_mut();
         self.frontier.retain(|&v| match step(v, main.read(v)) {
             Verdict::Active(s) => {
                 main.write(v, &s);
@@ -585,7 +614,9 @@ impl<S: StateCodec> ExecCoreSoa<S> {
             Verdict::Halted(s) => {
                 main.write(v, &s);
                 active[v.index()] = false;
-                crate::transcript::record_halt(v, rounds);
+                if let Some(rec) = &mut recording {
+                    rec.halt(v);
+                }
                 false
             }
         });
@@ -621,7 +652,7 @@ impl<S: StateCodec> ExecCoreSoa<S> {
         );
         let main = &mut self.main;
         let active = &mut self.active;
-        let rounds = self.rounds;
+        let mut recording = self.recording.as_mut();
         let mut verdicts = verdicts.into_iter();
         self.frontier.retain(|&v| {
             match verdicts.next().or_invariant("one verdict per frontier node") {
@@ -632,7 +663,9 @@ impl<S: StateCodec> ExecCoreSoa<S> {
                 Verdict::Halted(s) => {
                     main.write(v, &s);
                     active[v.index()] = false;
-                    crate::transcript::record_halt(v, rounds);
+                    if let Some(rec) = &mut recording {
+                        rec.halt(v);
+                    }
                     false
                 }
             }
@@ -647,12 +680,14 @@ impl<S: StateCodec> ExecCoreSoa<S> {
         let scratch = &self.scratch;
         let scratch_halted = &self.scratch_halted;
         let active = &mut self.active;
-        let rounds = self.rounds;
+        let mut recording = self.recording.as_mut();
         self.frontier.retain(|&v| {
             main.copy_row_from(scratch, v);
             if scratch_halted[v.index()] {
                 active[v.index()] = false;
-                crate::transcript::record_halt(v, rounds);
+                if let Some(rec) = &mut recording {
+                    rec.halt(v);
+                }
                 false
             } else {
                 true
@@ -662,14 +697,68 @@ impl<S: StateCodec> ExecCoreSoa<S> {
 
     /// Consumes the core into the run's outcome. The scratch columns are
     /// dropped here, so a finished run holds exactly one set of lanes —
-    /// the peak-RSS half of the engine-scale story.
+    /// the peak-RSS half of the engine-scale story. A recording run hands
+    /// its segment's halts to the transcript here.
     ///
     /// # Panics
     ///
     /// Panics if called while nodes are still active.
     pub fn finish(self) -> SoaOutcome<S> {
         assert!(self.is_done(), "finish() before quiescence");
+        if let Some(rec) = self.recording {
+            rec.hand_over(self.seeded.iter().copied());
+        }
         SoaOutcome { columns: self.main, seeded: self.seeded, rounds: self.rounds }
+    }
+}
+
+/// What a core keeps while a transcript records its run: its segment,
+/// its participant count and the halt round of every slot.
+///
+/// Rounds are stored as `u32`, narrowed once per round (no run comes near
+/// 2³² rounds; one that did would stop at the checked narrow). A node
+/// seeded halted keeps the initial round `0`.
+#[derive(Debug)]
+struct Recording {
+    segment: usize,
+    participants: usize,
+    halt_rounds: Vec<u32>,
+    /// The round being executed, as stored for the nodes halting in it.
+    now: u32,
+}
+
+impl Recording {
+    /// Starts a transcript segment if this thread records (one relaxed
+    /// load when it does not).
+    fn start(index_space: usize) -> Option<Recording> {
+        crate::transcript::segment_start().map(|segment| Recording {
+            segment,
+            participants: 0,
+            halt_rounds: vec![0; index_space],
+            now: 0,
+        })
+    }
+
+    fn enter_round(&mut self, round: u64) {
+        self.now = u32::try_from(round).or_invariant("a recorded run fits u32 rounds");
+    }
+
+    /// `v` halts in the current round.
+    #[inline]
+    fn halt(&mut self, v: NodeId) {
+        self.halt_rounds[v.index()] = self.now;
+    }
+
+    /// Hands the halt round of every slot flagged by `seeded` to the
+    /// segment, ascending by node, in one pass.
+    fn hand_over(self, seeded: impl Iterator<Item = bool>) {
+        let mut halts = Vec::with_capacity(self.participants);
+        for (i, (seeded, &round)) in seeded.zip(&self.halt_rounds).enumerate() {
+            if seeded {
+                halts.push((NodeId::new(i), u64::from(round)));
+            }
+        }
+        crate::transcript::record_halts(self.segment, halts);
     }
 }
 
